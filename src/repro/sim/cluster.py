@@ -23,8 +23,6 @@ pushes each arrival with a sequence number pre-reserved from the block
 an eager scheduler would have used, which makes the event order — and
 therefore every result — bit-identical to eager scheduling; the
 property tests replay random traces under both modes to prove it.
-Requests are pulled in chunks so their size-derived service times are
-computed as a batch by the selected kernel (:mod:`repro.sim.kernel`).
 
 Per-request state lives in a struct-of-arrays
 :class:`~repro.sim.soa.FlowTable` shared with the backends: the
@@ -50,8 +48,6 @@ from typing import (
     TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, runtime_checkable,
 )
 
-import numpy as np
-
 from ..core.config import SimulationParams
 from ..logs.records import Request, Trace
 from ..logs.replay import RequestSource
@@ -59,10 +55,8 @@ from ..policies.base import Policy, RoutingDecision
 from .audit import AuditSummary, SimulationAuditor
 from .engine import Resource, Simulator
 from .frontend import ConnectionState, Dispatcher
-from .kernel import service_time_arrays
 from .power import PowerManager, PowerReport
 from .server import BackendServer
-from .shard import ShardStats, ShardedSimulator
 from .soa import FlowTable
 from .stats import MetricsCollector, SimulationReport
 from .failures import FailureSchedule
@@ -84,7 +78,7 @@ __all__ = [
 #: longer scales with trace length.
 DEFAULT_ARRIVAL_WINDOW = 4096
 
-#: How many requests the pump pulls (and batch-prices) per refill.
+#: How many requests the pump pulls per refill.
 ARRIVAL_REFILL_CHUNK = 256
 
 #: Signature of a per-request completion callback:
@@ -108,18 +102,10 @@ class _ArrivalPump:
       time-sorted, so every pushed arrival is at/after the current
       clock, at least one future arrival is always scheduled while any
       remain, and the calendar cannot drain early.
-
-    Pulling in chunks is what lets the size-derived service times
-    (transmit, disk read) be priced as one batched kernel call
-    (:func:`repro.sim.kernel.service_time_arrays`) instead of two
-    scalar method calls per request; the per-element results are
-    bit-identical to the scalar path.
     """
 
     __slots__ = ("cluster", "_it", "total", "base_seq", "next_index",
-                 "pending", "pending_tx", "pending_disk", "window",
-                 "chunk", "in_calendar", "_fire_cb", "_tx_us", "_disk_ms",
-                 "_disk_us")
+                 "pending", "window", "chunk", "in_calendar", "_fire_cb")
 
     def __init__(
         self,
@@ -134,16 +120,10 @@ class _ArrivalPump:
         self.base_seq = base_seq
         self.next_index = 0
         self.pending: deque[Request] = deque()
-        self.pending_tx: deque[float] = deque()
-        self.pending_disk: deque[float] = deque()
         self.window = window = min(window, self.total)
         self.chunk = max(1, min(ARRIVAL_REFILL_CHUNK, window))
         self.in_calendar = 0
         self._fire_cb = self._fire
-        params = cluster.params
-        self._tx_us = params.transmit_us_per_kb
-        self._disk_ms = params.disk_latency_fixed_ms
-        self._disk_us = params.disk_us_per_kb
         self._refill(window)
 
     def _refill(self, n: int) -> None:
@@ -166,13 +146,7 @@ class _ArrivalPump:
             ]
         else:
             batch = list(islice(self._it, n))
-        tx, disk = service_time_arrays(
-            np.array([r.size for r in batch], dtype=np.float64),
-            self._tx_us, self._disk_ms, self._disk_us,
-        )
         self.pending.extend(batch)
-        self.pending_tx.extend(tx.tolist())
-        self.pending_disk.extend(disk.tolist())
         schedule = cluster.sim.schedule_at_reserved
         fire = self._fire_cb
         base = self.base_seq
@@ -185,10 +159,7 @@ class _ArrivalPump:
         self.in_calendar = left
         if left <= self.window - self.chunk and self.next_index < self.total:
             self._refill(self.chunk)
-        self.cluster._route_request(
-            self.pending.popleft(), None,
-            self.pending_tx.popleft(), self.pending_disk.popleft(),
-        )
+        self.cluster._on_arrival(self.pending.popleft())
 
 
 def _arrival_key(req: Request) -> float:
@@ -280,11 +251,6 @@ class SimulationResult:
     #: latency histograms, phase profile.  Like the audit layer, pure
     #: observation — the report is bit-identical either way.
     telemetry: "TelemetrySummary | None" = None
-    #: Present when the calendar was sharded (``shards=K``): per-shard
-    #: event counts and the conservative-window protocol counters.  The
-    #: report is bit-identical with and without sharding — the property
-    #: tests prove it at K ∈ {1, 2, 4}.
-    shard_stats: ShardStats | None = None
 
     @property
     def throughput_rps(self) -> float:
@@ -334,13 +300,6 @@ class ClusterSimulator:
         :data:`DEFAULT_ARRIVAL_WINDOW`; ``0`` schedules the whole trace
         eagerly (the legacy mode, kept for the differential property
         tests).  Results are bit-identical across all values.
-    shards:
-        Partition the event calendar into K shards (backends spread
-        contiguously; distributor, front ends and control plane on
-        shard 0) under the conservative-window protocol of
-        :class:`~repro.sim.shard.ShardedSimulator`.  ``None`` (default)
-        uses the plain single-heap engine.  Results are bit-identical
-        for every K, including K=1.
     """
 
     def __init__(
@@ -359,7 +318,6 @@ class ClusterSimulator:
         auditor: "SimulationAuditor | None" = None,
         telemetry: "Telemetry | None" = None,
         arrival_window: int | None = None,
-        shards: int | None = None,
     ) -> None:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -384,19 +342,8 @@ class ClusterSimulator:
                 raise ValueError("injection mode requires a catalog")
             if window_s is None:
                 raise ValueError("injection mode requires window_s")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None for unsharded)")
         self.params = params or SimulationParams()
-        self.shards = shards
-        if shards is None:
-            self.sim: Simulator = Simulator()
-        else:
-            # Lookahead window W = the minimum inter-shard latency: no
-            # cross-shard interaction lands sooner than one connection
-            # latency on a real cluster's network.
-            self.sim = ShardedSimulator(
-                shards, window_s=self.params.connection_latency_s
-            )
+        self.sim = Simulator()
         self.policy = policy
         self.trace = trace
         self.warmup_fraction = warmup_fraction
@@ -491,33 +438,6 @@ class ClusterSimulator:
         self._after_frontend_cb = self._after_frontend
         self._deliver_cb = self._deliver
         self._flow_done_cb = self._flow_done
-        if shards is not None:
-            self._register_shard_owners()
-
-    def _register_shard_owners(self) -> None:
-        """Pin components to calendar shards (sharded mode only).
-
-        Backends — the bulk of the event traffic — are spread over the
-        shards in contiguous blocks (``i * K // n``, which also handles
-        K > n by leaving trailing shards empty).  The distributor-side
-        components (cluster, front ends, power/replication control
-        plane) stay on shard 0, the control lane.
-        """
-        sim = self.sim
-        assert isinstance(sim, ShardedSimulator)
-        sim.register_owner(self, 0)
-        for fe in self.frontends:
-            sim.register_owner(fe, 0)
-        sim.register_owner(self.power, 0)
-        if self.replicator is not None:
-            sim.register_owner(self.replicator, 0)
-        k = sim.shards
-        n = len(self.servers)
-        for i, server in enumerate(self.servers):
-            shard = i * k // n
-            sim.register_owner(server, shard)
-            sim.register_owner(server.cpu, shard)
-            sim.register_owner(server.disk, shard)
 
     # -- ClusterView protocol ----------------------------------------------
 
@@ -548,9 +468,6 @@ class ClusterSimulator:
         base_seq = self.sim.reserve_sequences(len(trace))
         window = self.arrival_window or len(trace)
         self._arrival_pump = _ArrivalPump(self, trace, base_seq, window)
-        if isinstance(self.sim, ShardedSimulator):
-            # Arrivals are distributor work: the control lane.
-            self.sim.register_owner(self._arrival_pump, 0)
         if self.replicator is not None:
             self.replicator.start()
         self.sim.run()
@@ -601,24 +518,7 @@ class ClusterSimulator:
     def _on_arrival(
         self, req: Request, on_complete: CompletionCallback | None = None
     ) -> None:
-        """Route one request, pricing its service times on the spot.
-
-        The trace path goes through the pump, which batch-prices whole
-        chunks instead; the scalar methods here produce bit-identical
-        values (same expressions, same operation order).
-        """
-        params = self.params
-        self._route_request(req, on_complete,
-                            params.transmit_s(req.size),
-                            params.disk_service_s(req.size))
-
-    def _route_request(
-        self,
-        req: Request,
-        on_complete: CompletionCallback | None,
-        tx_s: float,
-        disk_s: float,
-    ) -> None:
+        """Route one request (from the pump or :meth:`inject`)."""
         now = self.sim.now
         if self.replicator is not None:
             self.replicator.observe(req.path, now)
@@ -659,6 +559,12 @@ class ClusterSimulator:
         if handoff:
             metrics.handoffs += 1
             service += self._handoff_s
+
+        # Size-derived service times, carried in the flow slot to the
+        # backend's disk and transmit stages (and used for the relay).
+        params = self.params
+        tx_s = params.transmit_s(req.size)
+        disk_s = params.disk_service_s(req.size)
 
         # Pure network latency added after the front-end work.
         latency = 0.0
@@ -783,7 +689,4 @@ class ClusterSimulator:
             dispatcher_lookups=self.dispatcher.lookups,
             audit=(self.auditor.finalize()
                    if self.auditor is not None else None),
-            shard_stats=(self.sim.shard_stats()
-                         if isinstance(self.sim, ShardedSimulator)
-                         else None),
         )

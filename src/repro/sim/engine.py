@@ -7,11 +7,12 @@ run bit-reproducible — a property the regression tests rely on.
 
 The hot loop is deliberately allocation-light: :meth:`Simulator.run`
 binds the heap, ``heappop`` and the observation hook to locals and pops
-each entry exactly once (peeking only through the popped tuple), and
-callers that stream bounded lookahead windows into the calendar (the
-cluster's arrival pump) can pre-reserve sequence-number blocks so late
-pushes keep the exact tie-break order an eager up-front schedule would
-have produced.
+each entry exactly once.  Every calendar push — scheduled events,
+reserved-sequence arrivals and :class:`Resource` completions — goes
+through the one :meth:`Simulator._push`.  Callers that stream bounded
+lookahead windows into the calendar (the cluster's arrival pump) can
+pre-reserve sequence-number blocks so late pushes keep the exact
+tie-break order an eager up-front schedule would have produced.
 
 Calendar entries carry an optional ``arg`` delivered to the callback.
 This is the struct-of-arrays hook: instead of allocating a per-request
@@ -29,6 +30,7 @@ low-priority readahead.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,13 +47,6 @@ class Simulator:
     All times are in **seconds** (floats); component cost models convert
     from the paper's µs/ms constants at the edges.
     """
-
-    #: True on sharded subclasses (:class:`repro.sim.shard.
-    #: ShardedSimulator`).  Components that push calendar entries
-    #: directly into ``_heap`` (the Resource fast paths) must check this
-    #: and fall back to :meth:`schedule_at`, which classifies the event
-    #: to its owner's shard.
-    sharded = False
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[..., None], object]] = []
@@ -82,6 +77,16 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
+        self._push(time, seq, fn, arg)
+
+    def _push(
+        self, time: float, seq: int, fn: Callable[..., None], arg: object
+    ) -> None:
+        """Push one calendar entry and track the high-water mark.
+
+        No past-time check: callers either check (``schedule_at*``) or
+        push ``now + service_time`` (:class:`Resource`).
+        """
         heap = self._heap
         heapq.heappush(heap, (time, seq, fn, arg))
         if len(heap) > self._high_water:
@@ -126,21 +131,22 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, fn, arg))
-        if len(heap) > self._high_water:
-            self._high_water = len(heap)
+        self._push(time, seq, fn, arg)
 
     # -- the loop ------------------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
         """Process events until the calendar empties (or ``until``).
 
-        The loop pops each calendar entry exactly once; when ``until``
-        cuts the run short, the one overshooting entry is pushed back.
+        ``until`` stops before the first event later than it and leaves
+        the clock at ``until``; it may not lie before the current clock.
         The observation hook is bound on entry — install ``on_event``
         before calling.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run the clock backwards: {until} < now {self.now}"
+            )
         heap = self._heap
         pop = heapq.heappop
         on_event = self.on_event
@@ -161,37 +167,23 @@ class Simulator:
                         fn(arg)
             finally:
                 self._events_processed += n
-        elif until is None:
-            # Observers may read ``events_processed`` from inside the
-            # hook (the telemetry timeline does), so the counter is kept
-            # on the instance, not in a loop local.
-            while heap:
-                time, _, fn, arg = pop(heap)
-                self.now = time
-                self._events_processed += 1
-                if arg is None:
-                    fn()
-                else:
-                    fn(arg)
+            return
+        # Observers may read ``events_processed`` from inside the hook
+        # (the telemetry timeline does), so the counter is kept on the
+        # instance, not in a loop local.
+        limit = math.inf if until is None else until
+        while heap and heap[0][0] <= limit:
+            time, _, fn, arg = pop(heap)
+            self.now = time
+            self._events_processed += 1
+            if arg is None:
+                fn()
+            else:
+                fn(arg)
+            if on_event is not None:
                 on_event(time)
-        else:
-            while heap:
-                entry = pop(heap)
-                time = entry[0]
-                if time > until:
-                    heapq.heappush(heap, entry)
-                    self.now = until
-                    return
-                self.now = time
-                self._events_processed += 1
-                arg = entry[3]
-                if arg is None:
-                    entry[2]()
-                else:
-                    entry[2](arg)
-                if on_event is not None:
-                    on_event(time)
-            self.now = max(self.now, until)
+        if until is not None:
+            self.now = until
 
     def step(self) -> bool:
         """Process one event; returns False when the calendar is empty."""
@@ -298,18 +290,9 @@ class Resource:
         self._cur_arg = arg
         sim = self.sim
         self._service_started = now = sim.now
-        if sim.sharded:
-            # Sharded calendars classify by callback owner; go through
-            # schedule_at so the completion lands on this resource's
-            # shard.  Same sequence draw, same (time, seq) key.
-            sim.schedule_at(now + service_time, self._finish_cb)
-            return None
         seq = sim._seq
         sim._seq = seq + 1
-        heap = sim._heap
-        heapq.heappush(heap, (now + service_time, seq, self._finish_cb, None))
-        if len(heap) > sim._high_water:
-            sim._high_water = len(heap)
+        sim._push(now + service_time, seq, self._finish_cb, None)
         return None
 
     def promote(
@@ -343,17 +326,9 @@ class Resource:
             self._cur_done = job.done
             self._cur_arg = job.arg
             self._service_started = now = sim.now
-            if sim.sharded:
-                sim.schedule_at(now + job.service_time, self._finish_cb)
-            else:
-                seq = sim._seq
-                sim._seq = seq + 1
-                heap = sim._heap
-                heapq.heappush(
-                    heap, (now + job.service_time, seq, self._finish_cb, None)
-                )
-                if len(heap) > sim._high_water:
-                    sim._high_water = len(heap)
+            seq = sim._seq
+            sim._seq = seq + 1
+            sim._push(now + job.service_time, seq, self._finish_cb, None)
         else:
             self._busy = False
             self._cur_done = None

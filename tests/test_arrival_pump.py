@@ -26,7 +26,7 @@ from repro.sim import ClusterSimulator
 from repro.sim.cluster import DEFAULT_ARRIVAL_WINDOW
 from repro.sim.differential import DEFAULT_POLICIES, report_fields
 from repro.sim.tracing import RequestTracer
-from tests.test_audit import MICRO
+from tests.scales import MICRO
 
 WINDOWS = (0, 1, 3, 17, None)  # 0 = eager; None = DEFAULT_ARRIVAL_WINDOW
 
@@ -168,11 +168,11 @@ class TestMultipleSources:
                      path=f"/b{i % 5}", size=900) for i in range(600)]
         return Trace(a, name="a"), Trace(b, name="b")
 
-    def _run(self, trace, window=None, shards=None):
+    def _run(self, trace, window=None):
         kwargs = {} if window is None else {"arrival_window": window}
         cluster = ClusterSimulator(
             trace, build_policy("lard")[0], _params(),
-            window_s=3.2, shards=shards, **kwargs)
+            window_s=3.2, **kwargs)
         return cluster.run(), cluster
 
     def test_matches_materialized_merge(self):
@@ -192,15 +192,6 @@ class TestMultipleSources:
         # One shared window across both sources — not 2x window, and
         # nowhere near the 1400 reserved (but unscheduled) sequences.
         assert cluster.sim.calendar_high_water <= window + 64
-
-    def test_sharded_multi_source_identical_and_bounded(self):
-        a, b = self._sources()
-        base, _ = self._run(Trace.merge([a, b]))
-        result, cluster = self._run([a, b], window=64, shards=3)
-        assert report_fields(base) == report_fields(result)
-        assert cluster.sim.calendar_high_water <= 64 + 64
-        assert sum(result.shard_stats.events_per_shard) == (
-            cluster.sim.events_processed)
 
     def test_merged_source_summary_state(self):
         from repro.sim.cluster import _MergedSource

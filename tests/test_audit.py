@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.core import SimulationParams
-from repro.experiments.common import ExperimentScale, loaded_workload
+from repro.experiments.common import loaded_workload
 from repro.experiments.runner import Cell, run_grid
 from repro.core.system import run_policy
 from repro.logs import Request, Trace
@@ -19,17 +19,7 @@ from repro.sim import (
     RequestTracer,
     SimulationAuditor,
 )
-
-#: Tiny but non-trivial scale: seconds total for the whole module.
-MICRO = ExperimentScale(
-    name="micro",
-    duration_s=2.0,
-    session_rates={"synthetic": 200.0, "cs-department": 180.0,
-                   "worldcup": 160.0},
-    n_backends=4,
-    think_time_mean=0.15,
-    max_session_pages=6,
-)
+from tests.scales import MICRO
 
 FIVE_POLICIES = ("wrr", "lard", "lard-r", "ext-lard-phttp", "prord")
 

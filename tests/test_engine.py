@@ -65,6 +65,41 @@ class TestSimulator:
         sim.run()
         assert log == [1, 10]
 
+    def test_run_until_cannot_move_clock_backwards(self):
+        sim = Simulator()
+        sim.schedule_at(10.0, lambda: None)
+        sim.run(until=5.0)
+        with pytest.raises(ValueError):
+            sim.run(until=3.0)
+        assert sim.now == 5.0
+        with pytest.raises(ValueError):
+            sim.schedule_at(4.0, lambda: None)
+        sim.run(until=5.0)  # equal to now: a no-op, not an error
+        assert sim.now == 5.0 and sim.pending_events == 1
+
+    def test_run_until_with_observer_matches_plain_run(self):
+        def trace(observe):
+            sim = Simulator()
+            log = []
+            for t in (1.0, 2.0, 2.0, 7.0):
+                sim.schedule_at(t, lambda t=t: log.append(("fire", t)))
+            if observe:
+                sim.on_event = lambda t: log.append(("seen", t))
+            sim.run(until=2.0)
+            log.append(("now", sim.now, sim.events_processed))
+            sim.run()
+            log.append(("now", sim.now, sim.events_processed))
+            return [e for e in log if e[0] != "seen"], log
+        plain, _ = trace(False)
+        observed, full = trace(True)
+        assert plain == observed == [
+            ("fire", 1.0), ("fire", 2.0), ("fire", 2.0), ("now", 2.0, 3),
+            ("fire", 7.0), ("now", 7.0, 4),
+        ]
+        assert [e for e in full if e[0] == "seen"] == [
+            ("seen", 1.0), ("seen", 2.0), ("seen", 2.0), ("seen", 7.0),
+        ]
+
     def test_step(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)

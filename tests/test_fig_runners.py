@@ -1,24 +1,13 @@
 """Direct tests of the figure-runner functions at a micro scale."""
 
-
 from repro.experiments import (
-    ExperimentScale,
     run_fig6,
     run_fig7,
     run_fig7_backend_sweep,
     run_fig8,
     run_fig9,
 )
-
-MICRO = ExperimentScale(
-    name="micro",
-    duration_s=2.0,
-    session_rates={"synthetic": 200.0, "cs-department": 180.0,
-                   "worldcup": 160.0},
-    n_backends=4,
-    think_time_mean=0.15,
-    max_session_pages=6,
-)
+from tests.scales import MICRO
 
 
 class TestRunFig6:

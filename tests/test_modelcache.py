@@ -10,7 +10,7 @@ from repro.experiments.common import loaded_workload
 from repro.mining import ModelCache, cached_mine_models, mining_fingerprint
 from repro.obs.profiler import PhaseProfiler
 from repro.sim.differential import report_fields
-from tests.test_audit import MICRO
+from tests.scales import MICRO
 
 
 @pytest.fixture(scope="module")

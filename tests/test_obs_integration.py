@@ -25,7 +25,7 @@ from repro.obs import (
     timeline_jsonl,
     windows_from_jsonl,
 )
-from tests.test_obs_timeline import MICRO
+from tests.scales import MICRO
 
 GRID = [Cell(workload="synthetic", policy=p) for p in ("lard", "prord")]
 

@@ -13,7 +13,7 @@ from repro.obs import (
     build_manifest,
     workload_identity,
 )
-from tests.test_obs_timeline import MICRO
+from tests.scales import MICRO
 
 GRID = [Cell(workload="synthetic", policy=p) for p in ("lard", "prord")]
 

@@ -5,20 +5,11 @@ import pickle
 import pytest
 
 from repro.core.config import SimulationParams
-from repro.experiments.common import ExperimentScale, loaded_workload
+from repro.experiments.common import loaded_workload
 from repro.obs import ServerWindow, TimelineRecorder, TimelineWindow
 from repro.policies.lard import LARDPolicy
 from repro.sim.cluster import ClusterSimulator
-
-MICRO = ExperimentScale(
-    name="micro",
-    duration_s=2.0,
-    session_rates={"synthetic": 200.0, "cs-department": 180.0,
-                   "worldcup": 160.0},
-    n_backends=4,
-    think_time_mean=0.15,
-    max_session_pages=6,
-)
+from tests.scales import MICRO
 
 
 def server_window(cpu=0.1, queue=2, hits=5, misses=1, completions=3):

@@ -18,23 +18,13 @@ import pytest
 from repro.core import SimulationParams, mine_models
 from repro.experiments import (
     Cell,
-    ExperimentScale,
     bench_payload,
     loaded_workload,
     run_grid,
     write_bench_json,
 )
 from repro.experiments import runner as runner_mod
-
-MICRO = ExperimentScale(
-    name="micro",
-    duration_s=2.0,
-    session_rates={"synthetic": 200.0, "cs-department": 180.0,
-                   "worldcup": 160.0},
-    n_backends=4,
-    think_time_mean=0.15,
-    max_session_pages=6,
-)
+from tests.scales import MICRO
 
 #: A small fig7-style grid: one workload, the four headline policies.
 GRID = [Cell(workload="synthetic", policy=p)
