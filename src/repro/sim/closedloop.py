@@ -16,6 +16,7 @@ for a classic capacity curve (``benchmarks/test_capacity_curve.py``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,7 @@ class ClosedLoopDriver:
 
     def _start_session(self) -> None:
         rng = self._rng
-        cat_idx = int(rng.choice(len(self._nav._categories),
-                                 p=self._nav._cat_probs))
+        cat_idx = bisect_right(self._nav._cat_cdf, rng.random())
         cat = self._nav._categories[cat_idx]
         state = _SessionState(
             conn_id=self._next_conn,
@@ -166,9 +166,8 @@ class ClosedLoopDriver:
         think = float(self._rng.exponential(self.spec.think_time_mean))
 
         def next_page() -> None:
-            cat = self._nav._categories[state.category_idx]
             state.current_page = self._nav._pick_next_page(
-                self._rng, state.current_page, cat)
+                self._rng, state.current_page, state.category_idx)
             self._request_page(state)
 
         sim.schedule(think, next_page)
