@@ -218,13 +218,14 @@ class Telemetry:
 
     # -- observation hooks (called by the cluster) -------------------------
 
-    def note_completion(self, req: "Request", server_id: int,
-                        hit: bool) -> None:
+    def note_completion(self, req: "Request", arrival: float,
+                        server_id: int, hit: bool) -> None:
+        """``arrival`` is the request's start-relative arrival time."""
         cluster = self.cluster
         assert cluster is not None and self.recorder is not None
         self._completions += 1
         self.recorder.note_completion(server_id)
-        self.response_hist.add(cluster.sim.now - req.arrival)
+        self.response_hist.add(cluster.sim.now - arrival)
         params = cluster.params
         if req.dynamic:
             demand = params.backend_cpu_s + params.dynamic_cpu_s

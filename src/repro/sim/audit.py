@@ -142,20 +142,21 @@ class SimulationAuditor:
 
     # -- observation hooks (called by the cluster) -------------------------
 
-    def note_arrival(self, req) -> None:
+    def note_arrival(self, req, arrival: float) -> None:
+        """``arrival`` is the request's start-relative arrival time."""
         self._injected += 1
         if req.dynamic:
             self._dynamic_injected += 1
         last = self._conn_last_arrival.get(req.conn_id)
-        if last is not None and req.arrival < last - _TOLERANCE:
+        if last is not None and arrival < last - _TOLERANCE:
             self._violate("connections",
                           "per-connection arrivals out of order", {
-                              "conn_id": req.conn_id,
-                              "arrival": req.arrival,
+                              "conn": req.conn_id,
+                              "arrival": arrival,
                               "previous_arrival": last,
                           })
         self._conn_last_arrival[req.conn_id] = max(
-            last if last is not None else req.arrival, req.arrival)
+            last if last is not None else arrival, arrival)
 
     def note_completion(self, req, server_id: int, hit: bool) -> None:
         self._completed += 1
@@ -164,7 +165,7 @@ class SimulationAuditor:
         self.events_seen += 1
         if time < self._last_event_time - _TOLERANCE:
             self._violate("clock", "event clock moved backwards", {
-                "time": time, "previous": self._last_event_time,
+                "event_time": time, "previous": self._last_event_time,
             })
         self._last_event_time = max(self._last_event_time, time)
         if self.events_seen % self.check_interval == 0:
@@ -258,7 +259,7 @@ class SimulationAuditor:
                                   "cached file missing from the locality "
                                   "table", {
                                       "server": server.server_id,
-                                      "path": path,
+                                      "object": path,
                                   })
         for path, holders in dispatcher._holders.items():
             for sid in holders:
@@ -267,7 +268,7 @@ class SimulationAuditor:
                     self._violate("dispatcher",
                                   "locality table names a phantom holder", {
                                       "server": sid,
-                                      "path": path,
+                                      "object": path,
                                   })
 
     def _check_resources(self, cluster: "ClusterSimulator") -> None:
@@ -344,6 +345,8 @@ class SimulationAuditor:
 
     def _violate(self, check: str, message: str,
                  snapshot: Mapping[str, object]) -> None:
+        # Snapshot keys become trace-event fields, so they must not be
+        # named like TraceEvent's own time/kind/conn_id/path.
         cluster = self.cluster
         now = cluster.sim.now if cluster is not None else 0.0
         event = TraceEvent(

@@ -43,7 +43,8 @@ class FlowTable:
 
     __slots__ = (
         "path", "size", "dynamic", "hit", "tx_s", "disk_s", "finish",
-        "req", "server", "latency", "on_complete", "user_done", "free",
+        "req", "arrival", "server", "latency", "on_complete", "user_done",
+        "free",
     )
 
     def __init__(self) -> None:
@@ -60,6 +61,8 @@ class FlowTable:
         self.finish: list[FinishCallback | None] = []
         # -- cluster fields (trace / injection path only) --------------
         self.req: list["Request | None"] = []
+        #: arrival relative to trace start (``req.arrival`` minus t0)
+        self.arrival: list[float] = []
         self.server: list["BackendServer | None"] = []
         self.latency: list[float] = []
         self.on_complete: list["CompletionCallback | None"] = []
@@ -86,6 +89,7 @@ class FlowTable:
         self.disk_s.extend([0.0] * n)
         self.finish.extend([None] * n)
         self.req.extend([None] * n)
+        self.arrival.extend([0.0] * n)
         self.server.extend([None] * n)
         self.latency.extend([0.0] * n)
         self.on_complete.extend([None] * n)

@@ -22,7 +22,9 @@ from repro.core.system import (
 )
 from repro.experiments.common import loaded_workload
 from repro.logs import Request, Trace
+from repro.obs.telemetry import Telemetry
 from repro.sim import ClusterSimulator
+from repro.sim.audit import AuditError, SimulationAuditor
 from repro.sim.cluster import DEFAULT_ARRIVAL_WINDOW
 from repro.sim.differential import DEFAULT_POLICIES, report_fields
 from repro.sim.tracing import RequestTracer
@@ -205,3 +207,80 @@ class TestMultipleSources:
         assert set(m.catalog) == set(a.catalog) | set(b.catalog)
         with pytest.raises(ValueError, match="sources"):
             _MergedSource([])
+
+
+class TestStartRelativeTimes:
+    """Every reader sees arrivals relative to trace start.
+
+    The pump hands the cluster the original request, whose ``arrival``
+    is the absolute log timestamp (here about 1e9 s), and carries the
+    start-relative arrival in the flow table.  A reader that used
+    ``req.arrival`` would be off by the whole epoch.
+    """
+
+    T0 = 1e9
+
+    def _trace(self):
+        reqs = [Request(arrival=self.T0 + i * 0.003, conn_id=i % 5,
+                        path=f"/p{i}", size=2048 + 64 * (i % 9))
+                for i in range(300)]
+        return Trace(reqs, name="epoch")
+
+    def _run(self):
+        tracer = RequestTracer()
+        telemetry = Telemetry()
+        auditor = SimulationAuditor()
+        cluster = ClusterSimulator(
+            self._trace(), build_policy("lard")[0], _params(),
+            warmup_fraction=0.0, tracer=tracer, auditor=auditor,
+            telemetry=telemetry, arrival_window=16)
+        return cluster.run(), cluster, tracer, telemetry, auditor
+
+    def test_tracer_response_is_start_relative(self):
+        result, _, tracer, _, _ = self._run()
+        arrived = {e.path: e.time for e in tracer.events("arrival")}
+        complete = tracer.events("complete")
+        assert len(complete) == result.report.all_completed == 300
+        for e in complete:
+            response = dict(e.fields)["response_s"]
+            assert response == e.time - arrived[e.path]
+            assert 0.0 < response < 1.0
+
+    def test_metrics_and_telemetry_histogram_agree(self):
+        result, cluster, _, telemetry, _ = self._run()
+        arrivals = [r.arrival for r in cluster.metrics.records]
+        assert min(arrivals) == 0.0
+        assert max(arrivals) < 1.0
+        hist = telemetry.response_hist
+        assert len(hist) == 300
+        assert hist.mean == pytest.approx(result.report.mean_response_s,
+                                          rel=1e-9)
+
+    def test_auditor_tracks_start_relative_arrivals(self):
+        result, cluster, _, _, auditor = self._run()
+        assert result.audit.clean
+        # The per-connection check kept start-relative times: its
+        # snapshot of the last arrival on connection 4 is the trace's
+        # last request (index 299) rebased to start.
+        late = Request(arrival=self.T0, conn_id=4, path="/late", size=10)
+        with pytest.raises(AuditError, match="out of order") as exc:
+            auditor.note_arrival(late, -1.0)
+        last = (self.T0 + 299 * 0.003) - self.T0
+        assert exc.value.snapshot["previous_arrival"] == last
+
+    def test_inject_uses_request_arrival(self):
+        tracer = RequestTracer()
+        cluster = ClusterSimulator(
+            None, build_policy("wrr")[0], _params(),
+            catalog={"/a": 1024}, window_s=5.0, tracer=tracer)
+
+        def inject():
+            cluster.inject(Request(arrival=cluster.sim.now, conn_id=0,
+                                   path="/a", size=1024))
+
+        cluster.sim.schedule(2.5, inject)
+        cluster.sim.run()
+        (rec,) = cluster.metrics.records
+        assert rec.arrival == 2.5
+        (done,) = tracer.events("complete")
+        assert dict(done.fields)["response_s"] == done.time - 2.5

@@ -19,6 +19,7 @@ from repro.sim import (
     RequestTracer,
     SimulationAuditor,
 )
+from repro.sim.tracing import events_from_jsonl
 from tests.scales import MICRO
 
 FIVE_POLICIES = ("wrr", "lard", "lard-r", "ext-lard-phttp", "prord")
@@ -181,7 +182,7 @@ class TestViolationDetection:
         cluster, auditor = self._ran()
         with pytest.raises(AuditError, match="out of order"):
             auditor.note_arrival(Request(arrival=-5.0, conn_id=0,
-                                         path="/late.html", size=10))
+                                         path="/late.html", size=10), -5.0)
 
     def test_error_carries_snapshot(self):
         cluster, auditor = self._ran()
@@ -209,6 +210,26 @@ class TestNonStrictMode:
         assert dict(events[-1].fields)["server"] == 0
         # The violation is mirrored onto the attached tracer.
         assert len(tracer.events("audit")) == before + 1
+
+
+    def test_violation_fields_keep_trace_event_keys(self):
+        # Regression: snapshot keys named time/conn_id/path collided
+        # with RequestTracer.emit's parameters (TypeError) and would
+        # have overwritten the event's own keys in the JSONL export.
+        tracer = RequestTracer()
+        cluster, auditor = audited_cluster(strict=False, tracer=tracer)
+        cluster.run()
+        auditor._on_event(-1.0)
+        auditor.note_arrival(Request(arrival=0.0, conn_id=0,
+                                     path="/late.html", size=10), -5.0)
+        cluster.dispatcher.on_insert(1, "/phantom")
+        auditor.check_now()
+        audit = [e for e in events_from_jsonl(tracer.to_jsonl())
+                 if e.kind == "audit"]
+        assert {e.path for e in audit} == {"clock", "connections",
+                                           "dispatcher"}
+        assert all(e.conn_id == -1 for e in audit)
+        assert audit == list(auditor.violation_events())
 
 
 class TestGridAudit:

@@ -51,9 +51,21 @@ class TestMetricsCollector:
     def test_record_validation(self):
         m = MetricsCollector(2)
         with pytest.raises(ValueError, match="out of range"):
-            m.record_completion(req(), 1.0, 5, True)
+            m.record_completion(req(), 0.0, 1.0, 5, True)
         with pytest.raises(ValueError, match="precedes"):
-            m.record_completion(req(t=2.0), 1.0, 0, True)
+            m.record_completion(req(t=2.0), 2.0, 1.0, 0, True)
+
+    def test_arrival_argument_not_request_arrival(self):
+        # The cluster passes start-relative arrivals; the request keeps
+        # its absolute log timestamp.
+        m = MetricsCollector(1)
+        m.record_completion(req(t=1e9), 0.0, 1.0, 0, True)
+        m.record_completion(req(t=1e9 + 2.0, conn=1), 2.0, 2.5, 0, True)
+        r = m.report()
+        assert r.mean_response_s == pytest.approx(0.75)
+        assert r.makespan_s == pytest.approx(2.5)
+        with pytest.raises(ValueError, match="precedes"):
+            m.record_completion(req(t=0.0), 2.0, 1.0, 0, True)
 
     def test_empty_report(self):
         m = MetricsCollector(2)
@@ -66,8 +78,8 @@ class TestMetricsCollector:
 
     def test_basic_aggregation(self):
         m = MetricsCollector(2)
-        m.record_completion(req(t=0.0, path="/a"), 1.0, 0, True)
-        m.record_completion(req(t=1.0, path="/b"), 3.0, 1, False)
+        m.record_completion(req(t=0.0, path="/a"), 0.0, 1.0, 0, True)
+        m.record_completion(req(t=1.0, path="/b"), 1.0, 3.0, 1, False)
         r = m.report()
         assert r.completed == 2
         assert r.hit_rate == 0.5
@@ -78,8 +90,8 @@ class TestMetricsCollector:
 
     def test_warmup_excludes_early(self):
         m = MetricsCollector(1)
-        m.record_completion(req(t=0.0), 0.5, 0, False)
-        m.record_completion(req(t=10.0), 10.5, 0, True)
+        m.record_completion(req(t=0.0), 0.0, 0.5, 0, False)
+        m.record_completion(req(t=10.0), 10.0, 10.5, 0, True)
         r = m.report(warmup_until=5.0)
         assert r.completed == 1
         assert r.hit_rate == 1.0
@@ -88,8 +100,8 @@ class TestMetricsCollector:
         m = MetricsCollector(1)
         # 3 requests complete inside a 10 s window, one long after it.
         for t in (1.0, 2.0, 3.0):
-            m.record_completion(req(t=t), t + 0.1, 0, True)
-        m.record_completion(req(t=4.0), 50.0, 0, False)
+            m.record_completion(req(t=t), t, t + 0.1, 0, True)
+        m.record_completion(req(t=4.0), 4.0, 50.0, 0, False)
         r = m.report(window_end=10.0)
         # The window starts at the first arrival (t=1).
         assert r.throughput_rps == pytest.approx(3 / 9.0)
@@ -105,7 +117,7 @@ class TestMetricsCollector:
         m.count_prefetch_issued()
         m.count_prefetch_useful()
         m.count_replicated_bytes(100)
-        m.record_completion(req(t=10.0), 11.0, 0, True)
+        m.record_completion(req(t=10.0), 10.0, 11.0, 0, True)
         r = m.report(warmup_until=5.0)
         assert r.dispatches == 2
         assert r.handoffs == 1
@@ -116,8 +128,8 @@ class TestMetricsCollector:
         m = MetricsCollector(1)
         for _ in range(4):
             m.count_dispatch()
-        m.record_completion(req(t=0.0), 1.0, 0, True)
-        m.record_completion(req(t=0.5, conn=1), 1.5, 0, True)
+        m.record_completion(req(t=0.0), 0.0, 1.0, 0, True)
+        m.record_completion(req(t=0.5, conn=1), 0.5, 1.5, 0, True)
         assert m.report().dispatch_frequency == pytest.approx(2.0)
 
     def test_dispatch_frequency_ignores_warmup_window(self):
@@ -128,7 +140,7 @@ class TestMetricsCollector:
         for _ in range(4):
             m.count_dispatch()
         for i, t in enumerate((0.0, 2.0, 6.0, 8.0)):
-            m.record_completion(req(t=t, conn=i), t + 1.0, 0, True)
+            m.record_completion(req(t=t, conn=i), t, t + 1.0, 0, True)
         r = m.report(warmup_until=5.0)
         assert r.completed == 2
         assert r.all_completed == 4
@@ -136,9 +148,9 @@ class TestMetricsCollector:
 
     def test_load_imbalance(self):
         m = MetricsCollector(2)
-        m.record_completion(req(t=0.0), 1.0, 0, True)
-        m.record_completion(req(t=0.0, conn=1), 1.0, 0, True)
-        m.record_completion(req(t=0.0, conn=2), 1.0, 1, True)
+        m.record_completion(req(t=0.0), 0.0, 1.0, 0, True)
+        m.record_completion(req(t=0.0, conn=1), 0.0, 1.0, 0, True)
+        m.record_completion(req(t=0.0, conn=2), 0.0, 1.0, 1, True)
         r = m.report()
         assert r.load_imbalance == pytest.approx(2 / 1.5)
 
@@ -146,11 +158,11 @@ class TestMetricsCollector:
         m = MetricsCollector(1)
         m.prefetches_issued = 4
         m.prefetch_useful = 3
-        m.record_completion(req(), 1.0, 0, True)
+        m.record_completion(req(), 0.0, 1.0, 0, True)
         assert m.report().prefetch_precision == pytest.approx(0.75)
 
     def test_row_formatting(self):
         m = MetricsCollector(1)
-        m.record_completion(req(), 1.0, 0, True)
+        m.record_completion(req(), 0.0, 1.0, 0, True)
         row = m.report().row()
         assert "rps" in row and "hit" in row
