@@ -59,10 +59,23 @@ class RoutingDecision:
 
 
 class ClusterView(Protocol):
-    """What a policy may observe of the cluster (read-only)."""
+    """What a policy may observe of the cluster (read-only).
+
+    ``loads`` is the flat per-server in-flight demand count (LARD's
+    balancing metric, ``loads[i] == servers[i].load``); ``down_count``
+    is a one-element list holding the number of crashed servers.  Both
+    are live views: policies keep the references from :meth:`Policy.bind`
+    and read them on every request.
+    """
 
     @property
     def servers(self) -> Sequence["BackendServer"]: ...
+
+    @property
+    def loads(self) -> Sequence[int]: ...
+
+    @property
+    def down_count(self) -> Sequence[int]: ...
 
     @property
     def dispatcher(self) -> "Dispatcher": ...
@@ -75,6 +88,20 @@ class ClusterView(Protocol):
 
     @property
     def now(self) -> float: ...
+
+
+class _Unbound:
+    """Stand-in for the bind-time views until :meth:`Policy.bind`:
+    indexing it raises the unbound-policy error."""
+
+    __slots__ = ("_policy",)
+
+    def __init__(self, policy: "Policy") -> None:
+        self._policy = policy
+
+    def __getitem__(self, key: int):
+        raise RuntimeError(
+            f"policy {self._policy.name!r} is not bound to a cluster")
 
 
 class Policy(ABC):
@@ -92,41 +119,35 @@ class Policy(ABC):
 
     def __init__(self) -> None:
         self._cluster: ClusterView | None = None
-        # Hot-path caches filled by bind() when the cluster exposes them
-        # (the real ClusterSimulator does; test stubs need not).  With
-        # ``_loads`` — the cluster's flat per-server in-flight counts —
-        # and a zero ``_downs[0]``, the per-request helpers skip the
-        # Python-level scan over server objects entirely.
-        self._loads: Sequence[int] | None = None
-        self._downs: Sequence[int] | None = None
+        unbound = _Unbound(self)
+        # Bind-time views of the cluster (see bind()).
+        self._loads: Sequence[int] = unbound
+        self._downs: Sequence[int] = unbound
         self._t_low = 0
         self._t_high = 0
-        # Per-server RoutingDecision caches (built at bind).  The
-        # decisions are frozen dataclasses, so one instance per
-        # (server, flags) combination serves every request — routing a
-        # request allocates nothing in the common no-prefetch case.
-        self._plain_decisions: tuple[RoutingDecision, ...] | None = None
-        self._dispatch_decisions: tuple[RoutingDecision, ...] | None = None
+        self._plain_decisions: Sequence[RoutingDecision] = unbound
+        self._dispatch_decisions: Sequence[RoutingDecision] = unbound
 
     def bind(self, cluster: ClusterView) -> None:
-        """Attach to a cluster before the run starts."""
+        """Attach to a cluster before the run starts.
+
+        Keeps the cluster's live ``loads`` and ``down_count`` views, so
+        the per-request helpers never touch a server object while every
+        backend is up.  The per-server RoutingDecision tuples are built
+        here: decisions are frozen, so one instance per (server, flags)
+        combination serves every request and routing allocates nothing
+        in the common no-prefetch case.
+        """
         self._cluster = cluster
-        self._loads = getattr(cluster, "loads", None)
-        self._downs = getattr(cluster, "_down_count", None)
-        params = getattr(cluster, "params", None)
-        if params is not None:
-            self._t_low = params.lard_t_low
-            self._t_high = params.lard_t_high
-        servers = getattr(cluster, "servers", None)
-        if servers is not None:
-            n = len(servers)
-            self._plain_decisions = tuple(
-                RoutingDecision(server_id=i) for i in range(n)
-            )
-            self._dispatch_decisions = tuple(
-                RoutingDecision(server_id=i, dispatched=True)
-                for i in range(n)
-            )
+        self._loads = cluster.loads
+        self._downs = cluster.down_count
+        self._t_low = cluster.params.lard_t_low
+        self._t_high = cluster.params.lard_t_high
+        n = len(cluster.servers)
+        self._plain_decisions = tuple(
+            RoutingDecision(server_id=i) for i in range(n))
+        self._dispatch_decisions = tuple(
+            RoutingDecision(server_id=i, dispatched=True) for i in range(n))
 
     @property
     def cluster(self) -> ClusterView:
@@ -157,28 +178,25 @@ class Policy(ABC):
         candidate order, so callers may pass sets directly.
         """
         loads = self._loads
-        if loads is not None and not self._downs[0]:  # type: ignore[index]
-            # Everything is up: selection is a pure min over the flat
-            # load counts (C speed), no server objects touched.
-            if candidates is None:
-                return loads.index(min(loads))
-            best = -1
-            best_load = 0
-            for i in candidates:
-                load = loads[i]
-                if best < 0 or load < best_load or (
-                        load == best_load and i < best):
-                    best = i
-                    best_load = load
-            if best < 0:
-                raise ValueError("no candidate servers")
-            return best
-        servers = self.cluster.servers
-        pool = list(range(len(servers)) if candidates is None else candidates)
-        if not pool:
+        if self._downs[0]:
+            servers = self.cluster.servers
+            pool = range(len(loads)) if candidates is None else candidates
+            alive = [i for i in pool if servers[i].up]
+            if alive:
+                candidates = alive
+        if candidates is None:
+            return loads.index(min(loads))
+        best = -1
+        best_load = 0
+        for i in candidates:
+            load = loads[i]
+            if best < 0 or load < best_load or (
+                    load == best_load and i < best):
+                best = i
+                best_load = load
+        if best < 0:
             raise ValueError("no candidate servers")
-        alive = [i for i in pool if servers[i].up]
-        return min(alive or pool, key=lambda i: (servers[i].load, i))
+        return best
 
     def overloaded(self, server_id: int) -> bool:
         """LARD's imbalance test (Pai et al.), with one refinement: a
@@ -186,32 +204,16 @@ class Policy(ABC):
         re-homing a target during cluster-wide overload only duplicates
         its disk work.  A crashed backend always reads as overloaded.
         """
+        if self._downs[0] and not self.cluster.servers[server_id].up:
+            return True
         loads = self._loads
-        if loads is not None and not self._downs[0]:  # type: ignore[index]
-            load = loads[server_id]
-            t_high = self._t_high
-            if load <= t_high:
-                # Below T_high neither trigger can fire — skip the
-                # cluster-wide min scan (the common, balanced case).
-                return False
-            min_load = min(loads)
-            if load > 2 * t_high and min_load < load // 2:
-                return True
-            return min_load < self._t_low
-        servers = self.cluster.servers
-        params = self.cluster.params
-        if not servers[server_id].up:
+        load = loads[server_id]
+        t_high = self._t_high
+        if load <= t_high:
+            # Below T_high neither trigger can fire — skip the
+            # cluster-wide min scan (the common, balanced case).
+            return False
+        min_load = min(loads)
+        if load > 2 * t_high and min_load < load // 2:
             return True
-        load = servers[server_id].load
-        min_load = min(s.load for s in servers)
-        if load > 2 * params.lard_t_high and min_load < load // 2:
-            return True
-        return load > params.lard_t_high and min_load < params.lard_t_low
-
-    def server_up(self, server_id: int) -> bool:
-        """Whether a backend is currently available."""
-        return self.cluster.servers[server_id].up
-
-    def size_of(self, path: str) -> int:
-        """File size from the trace catalog (1 byte when unknown)."""
-        return self.cluster.catalog.get(path, 1)
+        return min_load < self._t_low

@@ -40,7 +40,7 @@ class ExtLARDPolicy(Policy):
         )
         self._assignment: dict[str, int] = {}
         self._conn_server: dict[int, int] = {}
-        self._forward_decisions: tuple[RoutingDecision, ...] | None = None
+        self._forward_decisions: tuple[RoutingDecision, ...] = ()
 
     def bind(self, cluster) -> None:
         super().bind(cluster)
@@ -53,28 +53,17 @@ class ExtLARDPolicy(Policy):
         # Aron et al.'s plain imbalance test — deliberately *without*
         # the min < load//2 refinement LARD/PRORD use here (see
         # Policy.overloaded): the baseline keeps its original behaviour.
+        # A crashed target is re-homed like an overloaded one.
         target = self._assignment.get(path)
-        loads = self._loads
-        if (target is not None and loads is not None
-                and not self._downs[0]):  # type: ignore[index]
+        if target is not None:
+            loads = self._loads
             load = loads[target]
             t_high = self._t_high
-            if load > 2 * t_high or (
-                load > t_high and min(loads) < self._t_low
-            ):
+            if (load > 2 * t_high
+                    or (load > t_high and min(loads) < self._t_low)
+                    or (self._downs[0]
+                        and not self.cluster.servers[target].up)):
                 target = None
-        elif target is not None:
-            servers = self.cluster.servers
-            params = self.cluster.params
-            if not servers[target].up:
-                target = None
-            else:
-                load = servers[target].load
-                if load > 2 * params.lard_t_high or (
-                    load > params.lard_t_high
-                    and any(s.load < params.lard_t_low for s in servers)
-                ):
-                    target = None
         if target is None:
             target = self.least_loaded()
             self._assignment[path] = target
@@ -82,40 +71,23 @@ class ExtLARDPolicy(Policy):
 
     def route(self, request: Request) -> RoutingDecision:
         target = self._lard_target(request.path)
-        bound = self._conn_server.get(request.conn_id)
-        cached = self._dispatch_decisions
-        if bound is None:
-            # First request: the connection is handed off to the target.
-            self._conn_server[request.conn_id] = target
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
-        if self.mode == "handoff":
+        conn = request.conn_id
+        bound = self._conn_server.get(conn)
+        if bound is None or self.mode == "handoff":
+            # First request, or handoff mode: the connection is handed
+            # off to the target.
             if target != bound:
-                self._conn_server[request.conn_id] = target
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
+                self._conn_server[conn] = target
+            return self._dispatch_decisions[target]
         # Forwarding mode: connection stays at `bound`; remote content is
         # served remotely and relayed.  A crashed bound backend forces a
-        # rebind (the client reconnects through the switch); with a zero
-        # down-count the liveness check is skipped outright.
-        downs = self._downs
-        if ((downs is None or downs[0])
-                and not self.cluster.servers[bound].up):
-            self._conn_server[request.conn_id] = target
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
+        # rebind (the client reconnects through the switch).
+        if self._downs[0] and not self.cluster.servers[bound].up:
+            self._conn_server[conn] = target
+            return self._dispatch_decisions[target]
         if target == bound:
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
-        forwarded = self._forward_decisions
-        if forwarded is not None:
-            return forwarded[target]
-        return RoutingDecision(server_id=target, dispatched=True,
-                               forwarded=True)
+            return self._dispatch_decisions[target]
+        return self._forward_decisions[target]
 
     def on_connection_close(self, conn_id: int) -> None:
         self._conn_server.pop(conn_id, None)

@@ -38,23 +38,13 @@ class LARDPolicy(Policy):
         super().__init__()
         self._assignment: dict[str, int] = {}
 
-    def _rebalance_needed(self, server_id: int) -> bool:
-        """Pai et al.'s imbalance test, refined: a move must have a
-        materially less-loaded destination, otherwise re-homing a target
-        during cluster-wide overload only duplicates its disk work.
-        (Shared with PRORD — see :meth:`Policy.overloaded`.)"""
-        return self.overloaded(server_id)
-
     def route(self, request: Request) -> RoutingDecision:
         path = request.path
         target = self._assignment.get(path)
         if target is None or self.overloaded(target):
             target = self.least_loaded()
             self._assignment[path] = target
-        cached = self._dispatch_decisions
-        if cached is not None:
-            return cached[target]
-        return RoutingDecision(server_id=target, dispatched=True)
+        return self._dispatch_decisions[target]
 
     @property
     def assignments(self) -> int:
@@ -86,57 +76,41 @@ class LARDReplicationPolicy(Policy):
 
     def route(self, request: Request) -> RoutingDecision:
         path = request.path
-        servers = self.cluster.servers
         now = self.cluster.now
-        members = self._server_sets.get(path)
         loads = self._loads
-        all_up = loads is not None and not self._downs[0]  # type: ignore[index]
-        if members and not all_up:
-            # Drop crashed members (skipped while everything is up —
-            # the intersection would be a per-request no-op set build).
-            members &= {s.server_id for s in servers if s.up}
+        members = self._server_sets.get(path)
+        if members and self._downs[0]:
+            # Drop crashed members.
+            members &= {s.server_id for s in self.cluster.servers if s.up}
         if not members:
             target = self.least_loaded()
             self._server_sets[path] = {target}
             self._last_grown[path] = now
-            cached = self._dispatch_decisions
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
+            return self._dispatch_decisions[target]
 
         # least_loaded is order-independent ((load, id) keys), so the
         # member set goes in as-is.
         target = self.least_loaded(members)
-        if all_up:
-            load = loads[target]
-            t_high = self._t_high
-            overloaded = load > 2 * t_high or (
-                load > t_high and min(loads) < self._t_low
-            )
-        else:
-            params = self.cluster.params
-            load = servers[target].load
-            overloaded = load > 2 * params.lard_t_high or (
-                load > params.lard_t_high
-                and any(s.load < params.lard_t_low for s in servers)
-            )
-        if overloaded and len(members) < len(servers):
+        load = loads[target]
+        t_high = self._t_high
+        overloaded = load > 2 * t_high or (
+            load > t_high and min(loads) < self._t_low
+        )
+        n = len(loads)
+        if overloaded and len(members) < n:
             joiner = self.least_loaded(
-                [i for i in range(len(servers)) if i not in members]
+                [i for i in range(n) if i not in members]
             )
             members.add(joiner)
             self._last_grown[path] = now
             target = joiner
         elif (len(members) > 1
               and now - self._last_grown.get(path, now) > self.shrink_after_s):
-            victim = max(members, key=lambda i: (servers[i].load, i))
+            victim = max(members, key=lambda i: (loads[i], i))
             if victim != target:
                 members.discard(victim)
             self._last_grown[path] = now
-        cached = self._dispatch_decisions
-        if cached is not None:
-            return cached[target]
-        return RoutingDecision(server_id=target, dispatched=True)
+        return self._dispatch_decisions[target]
 
     def replica_count(self, path: str) -> int:
         return len(self._server_sets.get(path, ()))

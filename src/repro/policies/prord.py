@@ -153,10 +153,6 @@ class PRORDPolicy(Policy):
         self._prefetch_loc: dict[str, int] = {}
         #: path -> backend it was last distributed to
         self._assignment: dict[str, int] = {}
-        #: dispatcher cached at bind time (None while unbound — readers
-        #: fall back to ``self.cluster.dispatcher``, preserving the
-        #: unbound RuntimeError)
-        self._disp = None
         # Step counters for the Fig. 4 flow (reported by benches; the
         # auditor checks they sum to the number of routed requests).
         self.routed_embedded = 0
@@ -165,19 +161,7 @@ class PRORDPolicy(Policy):
         self.routed_dispatched = 0
         self.routed_dynamic = 0
 
-    def bind(self, cluster) -> None:
-        super().bind(cluster)
-        self._disp = getattr(cluster, "dispatcher", None)
-
     # -- routing helpers ------------------------------------------------------
-
-    def _overloaded(self, server_id: int) -> bool:
-        """LARD's imbalance test, with one refinement: moving load only
-        helps when some backend is materially less loaded.  When every
-        backend is equally saturated (miss-driven overload), re-homing a
-        page just duplicates its disk reads elsewhere, so locality is
-        kept.  (Shared with LARD — see :meth:`Policy.overloaded`.)"""
-        return self.overloaded(server_id)
 
     def _dispatch(self, path: str) -> int:
         """Step 4: dispatcher lookup + LARD-style selection.
@@ -190,15 +174,15 @@ class PRORDPolicy(Policy):
         memory, before falling back to the least-loaded backend overall.
         """
         assigned = self._assignment.get(path)
-        if assigned is not None and not self._overloaded(assigned):
+        if assigned is not None and not self.overloaded(assigned):
             return assigned
         if self._f_locality:
-            holders = (self._disp or self.cluster.dispatcher).lookup(path)
+            holders = self.cluster.dispatcher.lookup(path)
             if holders:
                 # least_loaded is order-independent ((load, id) keys),
                 # so the holder set goes in unsorted.
                 target = self.least_loaded(holders)
-                if not self._overloaded(target):
+                if not self.overloaded(target):
                     return target
         return self.least_loaded()
 
@@ -247,45 +231,37 @@ class PRORDPolicy(Policy):
         if request.dynamic and self._f_dynamic:
             target = conn_server if conn_server is not None else (
                 self.least_loaded())
-            if self._overloaded(target):
+            if self.overloaded(target):
                 target = self.least_loaded()
             self._conn_server[request.conn_id] = target
             self.routed_dynamic += 1
-            cached = self._plain_decisions
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=False)
+            return self._plain_decisions[target]
 
         # Step 2: embedded objects follow the parent page's backend.
         # (A zero cluster down-count proves the backend is up without
         # touching the server object.)
-        downs = self._downs
         if (request.is_embedded
                 and self._f_embedded
                 and conn_server is not None
-                and ((downs is not None and not downs[0])
-                     or self.server_up(conn_server))):
+                and (not self._downs[0]
+                     or self.cluster.servers[conn_server].up)):
             self.routed_embedded += 1
             self._conn_server[request.conn_id] = conn_server
-            cached = self._plain_decisions
-            if cached is not None:
-                return cached[conn_server]
-            return RoutingDecision(server_id=conn_server, dispatched=False)
+            return self._plain_decisions[conn_server]
 
         # Step 3a: prefetched object — distributor knows the holder.
         if self._f_prefetch_routing:
             loc = self._prefetch_loc.get(path)
             if (loc is not None
-                    and (self._disp or self.cluster.dispatcher).holds(
-                        path, loc)
-                    and not self._overloaded(loc)):
+                    and self.cluster.dispatcher.holds(path, loc)
+                    and not self.overloaded(loc)):
                 self.routed_prefetched += 1
                 return self._decide(request, loc, dispatched=False)
             # Step 3b: already distributed earlier — reuse the target.
             # Residency is not required: even if the file was evicted,
             # serving it at its home backend restores locality there.
             assigned = self._assignment.get(path)
-            if assigned is not None and not self._overloaded(assigned):
+            if assigned is not None and not self.overloaded(assigned):
                 self.routed_assigned += 1
                 return self._decide(request, assigned, dispatched=False)
 
@@ -307,14 +283,12 @@ class PRORDPolicy(Policy):
             if not self._f_embedded:
                 self._assignment[request.path] = target
             prefetches = ()
-        if not prefetches:
-            cached = (self._dispatch_decisions if dispatched
-                      else self._plain_decisions)
-            if cached is not None:
-                return cached[target]
-        return RoutingDecision(
-            server_id=target, dispatched=dispatched, prefetches=prefetches
-        )
+        if prefetches:
+            return RoutingDecision(
+                server_id=target, dispatched=dispatched, prefetches=prefetches
+            )
+        return (self._dispatch_decisions if dispatched
+                else self._plain_decisions)[target]
 
     def on_connection_close(self, conn_id: int) -> None:
         self._conn_server.pop(conn_id, None)

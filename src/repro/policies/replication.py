@@ -146,6 +146,7 @@ class ReplicationEngine:
     def _run_round(self) -> int:
         cluster = self.cluster
         servers = cluster.servers
+        loads = cluster.loads
         params = cluster.params
         budget = int(self.max_round_fraction * params.server_cache_bytes)
         # Never pin more than this per server, or replicas would starve
@@ -191,7 +192,7 @@ class ReplicationEngine:
             holder_ids = {s.server_id for s in holders}
             candidates = sorted(
                 (s for s in servers if s.server_id not in holder_ids),
-                key=lambda s: (s.load, s.server_id),
+                key=lambda s: (loads[s.server_id], s.server_id),
             )
             for target in candidates[:missing]:
                 if budget < size:

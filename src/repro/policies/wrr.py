@@ -56,34 +56,23 @@ class WRRPolicy(Policy):
         self._cursor = 0
 
     def _next_slot(self) -> int:
-        downs = self._downs
-        if downs is not None and not downs[0]:
-            # Everything up: the head of the schedule is the pick.
-            schedule = self._schedule
+        schedule = self._schedule
+        any_down = self._downs[0]
+        for _ in range(len(schedule)):
             server = schedule[self._cursor]
             self._cursor = (self._cursor + 1) % len(schedule)
-            return server
-        servers = self.cluster.servers
-        for _ in range(len(self._schedule)):
-            server = self._schedule[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._schedule)
-            if servers[server].up:
+            if not any_down or self.cluster.servers[server].up:
                 return server
         return server  # every backend down: queue on the last pick
 
     def route(self, request: Request) -> RoutingDecision:
         server = self._conn_server.get(request.conn_id)
-        downs = self._downs
-        if server is None or (
-                (downs is None or downs[0])
-                and not self.cluster.servers[server].up):
+        if server is None or (self._downs[0]
+                              and not self.cluster.servers[server].up):
             # New connection, or its backend crashed: (re)assign.
             server = self._next_slot()
             self._conn_server[request.conn_id] = server
-        cached = self._plain_decisions
-        if cached is not None:
-            return cached[server]
-        return RoutingDecision(server_id=server, dispatched=False)
+        return self._plain_decisions[server]
 
     def on_connection_close(self, conn_id: int) -> None:
         self._conn_server.pop(conn_id, None)

@@ -354,8 +354,8 @@ class ClusterSimulator:
         #: shared struct-of-arrays per-request state (see repro.sim.soa)
         self.flows = FlowTable()
         #: shared crashed-server count ([0] while everything is up) —
-        #: lets policy fast paths skip per-request ``up`` filtering
-        self._down_count: list[int] = [0]
+        #: policies filter on ``servers[i].up`` only while it is nonzero
+        self.down_count: list[int] = [0]
         self.servers: list[BackendServer] = [
             BackendServer(
                 self.sim, i, self.params,
@@ -364,7 +364,7 @@ class ClusterSimulator:
                 future_weights=(dict(future_weights)
                                 if future_weights else None),
                 flows=self.flows,
-                down_counter=self._down_count,
+                down_counter=self.down_count,
             )
             for i in range(self.params.n_backends)
         ]
@@ -500,13 +500,6 @@ class ClusterSimulator:
     def result(self) -> SimulationResult:
         """Assemble the result (injection mode, after the run drains)."""
         return self._result()
-
-    def _conn_state(self, conn_id: int) -> ConnectionState:
-        state = self._connections.get(conn_id)
-        if state is None:
-            state = ConnectionState(conn_id=conn_id)
-            self._connections[conn_id] = state
-        return state
 
     def _on_arrival(
         self, req: Request, arrival: float,

@@ -17,9 +17,8 @@ from repro.sim import Dispatcher
 
 
 class StubServer:
-    def __init__(self, server_id, load=0, up=True):
+    def __init__(self, server_id, up=True):
         self.server_id = server_id
-        self.load = load
         self.up = up
 
 
@@ -28,14 +27,21 @@ class StubCluster:
 
     def __init__(self, n=4, params=None):
         self.servers = [StubServer(i) for i in range(n)]
+        self.loads = [0] * n
+        self.down_count = [0]
         self.dispatcher = Dispatcher()
         self.params = params or SimulationParams(n_backends=n)
         self.catalog = {}
         self.now = 0.0
 
     def set_loads(self, *loads):
-        for s, load in zip(self.servers, loads):
-            s.load = load
+        # In place: a bound policy holds a reference to this list.
+        for i, load in zip(range(len(self.loads)), loads):
+            self.loads[i] = load
+
+    def crash(self, server_id):
+        self.servers[server_id].up = False
+        self.down_count[0] += 1
 
 
 def req(path="/a", conn=0, embedded=False, parent=None):
@@ -350,3 +356,127 @@ class TestPRORD:
                     allf.bundle_prefetch, allf.nav_prefetch])
         one = none.with_(bundle_prefetch=True)
         assert one.bundle_prefetch and not one.nav_prefetch
+
+
+class TestCrashedBackends:
+    """Routing around crashed backends (``down_count`` nonzero)."""
+
+    @pytest.mark.parametrize("crashed, candidates, expected", [
+        ((0,), None, 2),          # least-loaded server 0 is down
+        ((0,), [0, 1], 1),
+        ((0,), {0, 3}, 3),        # sets go in as-is
+        ((0,), [0], 0),           # every candidate down: least loaded anyway
+        ((0, 3), [3, 0], 0),
+        ((0, 1, 2, 3), None, 0),
+    ])
+    def test_least_loaded_skips_down_servers(self, crashed, candidates,
+                                             expected):
+        c = StubCluster(4)
+        c.set_loads(0, 2, 1, 3)
+        p = LARDPolicy()
+        p.bind(c)
+        for server_id in crashed:
+            c.crash(server_id)
+        assert p.least_loaded(candidates) == expected
+
+    @pytest.mark.parametrize("server_id, overloaded", [
+        (0, True),   # down, idle
+        (1, True),   # down, loaded
+        (2, False),  # up, idle
+    ])
+    def test_down_server_reads_overloaded(self, server_id, overloaded):
+        c = StubCluster(3)
+        c.set_loads(0, 3, 0)
+        p = LARDPolicy()
+        p.bind(c)
+        c.crash(0)
+        c.crash(1)
+        assert p.overloaded(server_id) is overloaded
+
+    @pytest.mark.parametrize("crashed, expected", [
+        (0, 1),  # the connection's backend: next round-robin slot
+        (2, 0),  # another backend: the connection stays put
+    ])
+    def test_wrr_reassigns_crashed_connection(self, crashed, expected):
+        c = StubCluster(3)
+        p = WRRPolicy()
+        p.bind(c)
+        assert p.route(req(conn=1)).server_id == 0
+        c.crash(crashed)
+        assert p.route(req(conn=1)).server_id == expected
+
+    def test_wrr_new_connection_skips_down_slot(self):
+        c = StubCluster(3)
+        p = WRRPolicy()
+        p.bind(c)
+        c.crash(0)
+        targets = [p.route(req(conn=i)).server_id for i in range(4)]
+        assert targets == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("crashed, forwarded", [
+        (0, False),  # the parent's backend: re-routed, not forwarded
+        (2, True),   # another backend: embedded object still follows
+    ])
+    def test_prord_embedded_avoids_crashed_parent(self, crashed, forwarded):
+        c = StubCluster(4)
+        p = PRORDPolicy(PRORDComponents.empty(),
+                        features=PRORDFeatures.all())
+        p.bind(c)
+        c.set_loads(0, 1, 1, 1)
+        main = p.route(req("/page.html", conn=1))
+        assert main.server_id == 0
+        c.crash(crashed)
+        emb = p.route(req("/img.gif", conn=1, embedded=True,
+                          parent="/page.html"))
+        assert (emb.server_id == 0) is forwarded
+        assert (p.flow_counts()["embedded_forwarded"] == 1) is forwarded
+
+    @pytest.mark.parametrize("crash, forwarded", [
+        (False, True),   # bound backend up: remote content is relayed
+        (True, False),   # bound backend crashed: connection rebinds
+    ])
+    def test_ext_lard_fwd_rebinds_crashed_connection(self, crash, forwarded):
+        c = StubCluster(2)
+        p = ExtLARDPolicy(mode="forwarding")
+        p.bind(c)
+        c.set_loads(0, 5)
+        assert p.route(req("/x", conn=1)).server_id == 0
+        c.set_loads(5, 0)
+        if crash:
+            c.crash(0)
+        d = p.route(req("/y", conn=1))
+        assert d.server_id == 1
+        assert d.forwarded is forwarded
+        # After a rebind the connection lives on server 1: no relay.
+        assert p.route(req("/y", conn=1)).forwarded is forwarded
+
+    def test_lard_rehomes_target_of_crashed_backend(self):
+        c = StubCluster(3)
+        p = LARDPolicy()
+        p.bind(c)
+        assert p.route(req("/x")).server_id == 0
+        c.crash(0)
+        assert p.route(req("/x")).server_id == 1
+
+    def test_lard_r_drops_crashed_member(self):
+        c = StubCluster(3, params=SimulationParams(
+            n_backends=3, lard_t_low=2, lard_t_high=4))
+        p = LARDReplicationPolicy()
+        p.bind(c)
+        c.set_loads(0, 1, 1)
+        p.route(req("/x"))
+        c.set_loads(9, 1, 1)
+        p.route(req("/x"))
+        assert p.replica_count("/x") == 2
+        c.crash(0)
+        assert p.route(req("/x")).server_id != 0
+        assert p.replica_count("/x") == 1
+
+
+@pytest.mark.parametrize("make", [
+    WRRPolicy, LARDPolicy, LARDReplicationPolicy, ExtLARDPolicy,
+    lambda: ExtLARDPolicy(mode="forwarding"),
+])
+def test_every_unbound_policy_raises(make):
+    with pytest.raises(RuntimeError, match="not bound"):
+        make().route(req())
