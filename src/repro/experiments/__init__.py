@@ -28,7 +28,6 @@ from .runner import (
     Cell,
     CellResult,
     bench_payload,
-    read_bench_payload,
     run_grid,
     write_bench_json,
 )
@@ -39,7 +38,7 @@ __all__ = [
     "FULL", "QUICK", "ExperimentScale", "format_table", "gain",
     "loaded_workload", "run_comparison",
     "BENCH_SCHEMA", "Cell", "CellResult", "run_grid",
-    "bench_payload", "read_bench_payload", "write_bench_json",
+    "bench_payload", "write_bench_json",
     "Fig6Row", "run_fig6",
     "Fig7Row", "run_fig7", "run_fig7_backend_sweep",
     "Fig8Row", "run_fig8",

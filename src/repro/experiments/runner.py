@@ -47,7 +47,6 @@ __all__ = [
     "CellResult",
     "run_grid",
     "bench_payload",
-    "read_bench_payload",
     "write_bench_json",
     "resolve_jobs",
 ]
@@ -260,13 +259,8 @@ def run_grid(
 # -- perf artifact -----------------------------------------------------------
 
 #: Current bench artifact schema.  v2 adds per-cell ``p95_response_ms``,
-#: ``load_imbalance`` and (for telemetered runs) ``phase_timings``;
-#: :func:`read_bench_payload` upgrades v1 files in place.
+#: ``load_imbalance`` and (for telemetered runs) ``phase_timings``.
 BENCH_SCHEMA = "prord-bench-experiments/v2"
-_BENCH_SCHEMA_V1 = "prord-bench-experiments/v1"
-
-#: Cell keys v2 guarantees; the v1 shim fills the missing ones with None.
-_V2_CELL_KEYS = ("p95_response_ms", "load_imbalance", "phase_timings")
 
 
 def bench_payload(
@@ -311,31 +305,6 @@ def bench_payload(
             sum(r.wall_clock_s for r in results), 6),
         "cells": cells,
     }
-
-
-def read_bench_payload(source: Path | str | Mapping) -> dict:
-    """Load a bench artifact, upgrading v1 files to the v2 cell shape.
-
-    v1 cells predate ``p95_response_ms`` / ``load_imbalance`` /
-    ``phase_timings``; the shim fills them with ``None`` so consumers
-    can rely on the v2 keys regardless of which writer produced the
-    file.  Unknown schemas raise :class:`ValueError`.
-    """
-    if isinstance(source, Mapping):
-        payload = dict(source)
-    else:
-        payload = json.loads(Path(source).read_text())
-    schema = payload.get("schema")
-    if schema == BENCH_SCHEMA:
-        return payload
-    if schema == _BENCH_SCHEMA_V1:
-        payload["schema"] = BENCH_SCHEMA
-        payload["cells"] = [
-            {**{key: None for key in _V2_CELL_KEYS}, **cell}
-            for cell in payload.get("cells", [])
-        ]
-        return payload
-    raise ValueError(f"unknown bench schema {schema!r}")
 
 
 def write_bench_json(
