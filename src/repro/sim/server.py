@@ -77,7 +77,7 @@ class BackendServer:
         standalone server builds a private one.
     down_counter:
         Shared one-element list counting crashed servers — the cluster's
-        cheap "is anything down?" signal for policy fast paths.
+        cheap "is anything down?" signal, read by every policy.
     """
 
     def __init__(
