@@ -23,22 +23,14 @@ from .fig7 import Fig7Row, run_fig7, run_fig7_backend_sweep
 from .fig8 import Fig8Row, run_fig8
 from .fig9 import Fig9Row, run_fig9
 from .report import run_all
-from .runner import (
-    BENCH_SCHEMA,
-    Cell,
-    CellResult,
-    bench_payload,
-    run_grid,
-    write_bench_json,
-)
+from .runner import Cell, CellResult, run_grid
 from .table1 import run_table1
 
 __all__ = [
     "bar_chart", "grouped_bar_chart", "sparkline",
     "FULL", "QUICK", "ExperimentScale", "format_table", "gain",
     "loaded_workload", "run_comparison",
-    "BENCH_SCHEMA", "Cell", "CellResult", "run_grid",
-    "bench_payload", "write_bench_json",
+    "Cell", "CellResult", "run_grid",
     "Fig6Row", "run_fig6",
     "Fig7Row", "run_fig7", "run_fig7_backend_sweep",
     "Fig8Row", "run_fig8",

@@ -16,18 +16,17 @@ executes such grids with two structural guarantees:
    results bit-identical to the in-process loop (``jobs=0``), in cell
    order.
 
-The grid also records per-cell wall-clock, feeding the machine-readable
-``BENCH_experiments.json`` perf artifact (:func:`write_bench_json`).
+The grid also records per-cell wall-clock (``CellResult.wall_clock_s``),
+which :func:`~repro.obs.manifest.build_manifest` stores in the run
+manifest.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..core.config import SimulationParams
@@ -42,12 +41,9 @@ from ..sim.cluster import SimulationResult
 from .common import ExperimentScale, loaded_workload
 
 __all__ = [
-    "BENCH_SCHEMA",
     "Cell",
     "CellResult",
     "run_grid",
-    "bench_payload",
-    "write_bench_json",
     "resolve_jobs",
 ]
 
@@ -254,68 +250,3 @@ def run_grid(
         ) as pool:
             return list(pool.map(_run_in_worker, cells))
     return [_execute_cell(ctx, cell) for cell in cells]
-
-
-# -- perf artifact -----------------------------------------------------------
-
-#: Current bench artifact schema.  v2 adds per-cell ``p95_response_ms``,
-#: ``load_imbalance`` and (for telemetered runs) ``phase_timings``.
-BENCH_SCHEMA = "prord-bench-experiments/v2"
-
-
-def bench_payload(
-    results: Sequence[CellResult],
-    *,
-    label: str | None = None,
-) -> dict:
-    """Machine-readable per-cell perf record (wall-clock, throughput, hits)."""
-    cells = []
-    for r in results:
-        cell = {
-            "workload": r.cell.workload,
-            "policy": r.cell.policy,
-            "n_backends": r.result.n_backends,
-            "cache_fraction": r.cache_fraction,
-            "seed_offset": r.cell.seed_offset,
-            "wall_clock_s": round(r.wall_clock_s, 6),
-            "throughput_rps": r.result.throughput_rps,
-            "hit_rate": r.result.hit_rate,
-            "mean_response_ms": r.result.mean_response_s * 1e3,
-            "p95_response_ms": r.result.report.p95_response_s * 1e3,
-            "load_imbalance": r.result.report.load_imbalance,
-            "completed": r.result.report.completed,
-            "dispatches": r.result.report.dispatches,
-            "phase_timings": None,
-        }
-        telemetry = r.result.telemetry
-        if telemetry is not None:
-            cell["phase_timings"] = {
-                name: {
-                    "wall_s": round(t.wall_s, 6),
-                    "calls": t.calls,
-                    "units": t.units,
-                }
-                for name, t in telemetry.phases
-            }
-        cells.append(cell)
-    return {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "total_wall_clock_s": round(
-            sum(r.wall_clock_s for r in results), 6),
-        "cells": cells,
-    }
-
-
-def write_bench_json(
-    results: Sequence[CellResult],
-    path: Path | str,
-    *,
-    label: str | None = None,
-) -> Path:
-    """Write :func:`bench_payload` to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bench_payload(results, label=label),
-                               indent=2) + "\n")
-    return path

@@ -1,6 +1,6 @@
 """Run manifests: provenance records for experiment artifacts.
 
-A figure in a paper (or a row in ``BENCH_experiments.json``) is only as
+A figure in a paper (or a per-cell wall-clock from a grid run) is only as
 trustworthy as the answer to "what exactly produced this?".  A
 :class:`RunManifest` captures, for one grid execution:
 

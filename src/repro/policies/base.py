@@ -62,7 +62,7 @@ class ClusterView(Protocol):
     """What a policy may observe of the cluster (read-only).
 
     ``loads`` is the flat per-server in-flight demand count (LARD's
-    balancing metric, ``loads[i] == servers[i].load``); ``down_count``
+    balancing metric, ``loads[i] == servers[i].active``); ``down_count``
     is a one-element list holding the number of crashed servers.  Both
     are live views: policies keep the references from :meth:`Policy.bind`
     and read them on every request.

@@ -40,12 +40,11 @@ results are bit-identical (the streamed-replay differential check and
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
-    TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, runtime_checkable,
+    TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable,
 )
 
 from ..core.config import SimulationParams
@@ -155,65 +154,6 @@ class _ArrivalPump:
         cluster._on_arrival(self.pending.popleft(), cluster.sim.now)
 
 
-def _arrival_key(req: Request) -> float:
-    return req.arrival
-
-
-class _MergedSource:
-    """Several time-sorted sources presented to the pump as one.
-
-    Iteration is a lazy k-way merge on arrival time (ties: earlier
-    source first, each source's internal order preserved — the
-    ``heapq.merge`` rule).  Length, catalog, start and connection
-    counts come from per-source summary state, so nothing is
-    materialised.
-
-    This is also the ``calendar_high_water`` fix for multi-source
-    runs: all sources share **one** arrival pump, so one lookahead
-    window — and one reserved sequence block covering the merged
-    order — bounds the total calendar footprint.  Naive per-source
-    pumps would each keep a full window in the calendar (K sources →
-    K·window high water), and per-source reserved blocks would force
-    eager scheduling of later sources; the regression tests pin the
-    merged bound and the report equality against a materialised
-    :meth:`~repro.logs.records.Trace.merge`.
-    """
-
-    def __init__(self, sources: Sequence["Trace | RequestSource"]) -> None:
-        if not sources:
-            raise ValueError("no sources")
-        self.sources = list(sources)
-        self.name = "+".join(s.name for s in self.sources)
-
-    def __iter__(self):
-        return heapq.merge(*self.sources, key=_arrival_key)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.sources)
-
-    @property
-    def start(self) -> float:
-        return min(s.start for s in self.sources)
-
-    @property
-    def duration(self) -> float:
-        start = self.start
-        return max(s.start + s.duration for s in self.sources) - start
-
-    @property
-    def catalog(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for s in self.sources:
-            merged.update(s.catalog)
-        return merged
-
-    def connection_counts(self) -> Counter:
-        counts: Counter[int] = Counter()
-        for s in self.sources:
-            counts.update(s.connection_counts())
-        return counts
-
-
 @runtime_checkable
 class Replicator(Protocol):
     """Optional popularity-driven replication engine (Algorithm 3)."""
@@ -274,8 +214,6 @@ class ClusterSimulator:
         materialized :class:`Trace` or a lazy re-iterable
         :class:`~repro.logs.replay.RequestSource`; both replay
         bit-identically, the source without ever holding the requests.
-        A list/tuple of traces/sources replays their lazy arrival-time
-        merge through a single shared pump (see :class:`_MergedSource`).
     policy:
         A bound-on-construction :class:`~repro.policies.base.Policy`.
     params:
@@ -297,7 +235,7 @@ class ClusterSimulator:
 
     def __init__(
         self,
-        trace: "Trace | RequestSource | Sequence[Trace | RequestSource] | None",
+        trace: "Trace | RequestSource | None",
         policy: Policy,
         params: SimulationParams | None = None,
         *,
@@ -321,11 +259,6 @@ class ClusterSimulator:
         elif arrival_window < 0:
             raise ValueError("arrival_window must be >= 0")
         self.arrival_window = arrival_window
-        if isinstance(trace, (list, tuple)):
-            # Multiple concurrent sources: merge them lazily so one
-            # pump (one lookahead window, one reserved block) drives
-            # them all — see _MergedSource.
-            trace = _MergedSource(trace)
         if trace is not None and len(trace) == 0:
             raise ValueError("trace is empty")
         if trace is None:
@@ -356,6 +289,12 @@ class ClusterSimulator:
         #: shared crashed-server count ([0] while everything is up) —
         #: policies filter on ``servers[i].up`` only while it is nonzero
         self.down_count: list[int] = [0]
+        #: per-server in-flight demand counts, written by the servers
+        #: themselves (``servers[i].active`` reads ``loads[i]``) — a flat
+        #: int list so policies take ``min(loads)`` at C speed instead of
+        #: a Python genexpr over server objects (the LARD/PRORD
+        #: per-request load scan).
+        self.loads: list[int] = [0] * self.params.n_backends
         self.servers: list[BackendServer] = [
             BackendServer(
                 self.sim, i, self.params,
@@ -365,14 +304,10 @@ class ClusterSimulator:
                                 if future_weights else None),
                 flows=self.flows,
                 down_counter=self.down_count,
+                loads=self.loads,
             )
             for i in range(self.params.n_backends)
         ]
-        #: per-server in-flight demand counts, mirroring
-        #: ``servers[i].load`` — a flat int list so policies take
-        #: ``min(loads)`` at C speed instead of a Python genexpr over
-        #: server objects (the LARD/PRORD per-request load scan).
-        self.loads: list[int] = [0] * self.params.n_backends
         # One or more distributor nodes behind a layer-4 switch (Aron et
         # al.'s decentralised design when n_frontends > 1): each
         # connection is pinned to one distributor by hash, as a content-
@@ -611,9 +546,7 @@ class ClusterSimulator:
             self._deliver(slot)
 
     def _deliver(self, slot: int) -> None:
-        server = self.flows.server[slot]
-        self.loads[server.server_id] += 1  # type: ignore[union-attr]
-        server.start_flow(slot)  # type: ignore[union-attr]
+        self.flows.server[slot].start_flow(slot)  # type: ignore[union-attr]
 
     def _flow_done(self, slot: int, server_id: int, hit: bool) -> None:
         f = self.flows
@@ -621,7 +554,6 @@ class ClusterSimulator:
         arrival = f.arrival[slot]
         on_complete = f.on_complete[slot]
         f.release(slot)
-        self.loads[server_id] -= 1
         now = self.sim.now
         if self.tracer is not None:
             self.tracer.emit(now, "complete", req.conn_id, req.path,

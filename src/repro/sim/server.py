@@ -5,7 +5,7 @@ CPU (data transfer at 80 µs/KB — the Table-1 "data transmission rate",
 which, as in Pai et al.'s LARD model, is CPU time spent moving the
 response).  Prefetches ride the disk at low priority so readahead never
 delays demand reads, and replicas arrive via
-:meth:`BackendServer.receive_replica`.  The server's ``load`` —
+:meth:`BackendServer.receive_replica`.  The server's ``active`` count —
 in-flight demand requests — is the balancing metric LARD-family
 policies compare against their T_low/T_high thresholds.
 
@@ -78,6 +78,11 @@ class BackendServer:
     down_counter:
         Shared one-element list counting crashed servers — the cluster's
         cheap "is anything down?" signal, read by every policy.
+    loads:
+        Shared per-server in-flight demand counts; this server counts
+        its own in ``loads[server_id]``, so the cluster's list is the
+        one copy policies read.  A standalone server builds a private
+        list.
     """
 
     def __init__(
@@ -91,6 +96,7 @@ class BackendServer:
         future_weights: dict[str, float] | None = None,
         flows: FlowTable | None = None,
         down_counter: list[int] | None = None,
+        loads: list[int] | None = None,
     ) -> None:
         self.sim = sim
         self.server_id = server_id
@@ -109,8 +115,7 @@ class BackendServer:
         )
         self.flows = flows if flows is not None else FlowTable()
         self._downs = down_counter if down_counter is not None else [0]
-        #: in-flight demand requests (admission queue + workers)
-        self.active = 0
+        self._loads = loads if loads is not None else [0] * (server_id + 1)
         self.completed = 0
         #: dynamic (generated-content) requests served
         self.dynamic_served = 0
@@ -207,7 +212,7 @@ class BackendServer:
         f = self.flows
         if f.size[slot] <= 0:
             raise ValueError("size must be positive")
-        self.active += 1
+        self._loads[self.server_id] += 1
         self.dynamic_served += f.dynamic[slot]
         if self.start_latency_hook is not None:
             extra = self.start_latency_hook(self)
@@ -271,7 +276,9 @@ class BackendServer:
         self.cpu.submit(self.flows.tx_s[slot], self._finish_cb, arg=slot)
 
     def _flow_finish(self, slot: int) -> None:
-        self.active -= 1
+        loads = self._loads
+        sid = self.server_id
+        loads[sid] -= 1
         self.completed += 1
         if self._admission:
             # The freed worker slot passes straight to the queue head.
@@ -280,8 +287,8 @@ class BackendServer:
         else:
             self._workers_busy -= 1
         f = self.flows
-        f.finish[slot](slot, self.server_id, f.hit[slot])  # type: ignore[misc]
-        if self.active == 0 and self.on_idle is not None:
+        f.finish[slot](slot, sid, f.hit[slot])  # type: ignore[misc]
+        if loads[sid] == 0 and self.on_idle is not None:
             self.on_idle(self)
 
     # -- proactive paths ----------------------------------------------------------
@@ -353,9 +360,9 @@ class BackendServer:
     # -- views -------------------------------------------------------------------
 
     @property
-    def load(self) -> int:
-        """In-flight demand requests — LARD's balancing metric."""
-        return self.active
+    def active(self) -> int:
+        """In-flight demand requests (admission queue + workers)."""
+        return self._loads[self.server_id]
 
     @property
     def is_idle(self) -> bool:

@@ -150,65 +150,6 @@ class TestCalendarFootprint:
         assert pumped.sim.calendar_high_water < n // 10
 
 
-class TestMultipleSources:
-    """Several concurrent sources share one pump (and one window).
-
-    The high-water regression this pins: multiple active sources must
-    not inflate the calendar footprint — neither to per-source windows
-    nor to eagerly-scheduled reserved blocks.  One merged stream, one
-    window, one reserved sequence block.
-    """
-
-    @staticmethod
-    def _sources():
-        # Disjoint conn-id ranges; the first source gets the lower ids
-        # so Trace.merge's (arrival, conn_id) tie-break agrees with the
-        # merged stream's earlier-source-first rule.
-        a = [Request(arrival=i * 0.004, conn_id=i % 4,
-                     path=f"/a{i % 7}", size=700) for i in range(800)]
-        b = [Request(arrival=0.001 + i * 0.005, conn_id=100 + i % 4,
-                     path=f"/b{i % 5}", size=900) for i in range(600)]
-        return Trace(a, name="a"), Trace(b, name="b")
-
-    def _run(self, trace, window=None):
-        kwargs = {} if window is None else {"arrival_window": window}
-        cluster = ClusterSimulator(
-            trace, build_policy("lard")[0], _params(),
-            window_s=3.2, **kwargs)
-        return cluster.run(), cluster
-
-    def test_matches_materialized_merge(self):
-        a, b = self._sources()
-        merged_result, _ = self._run(Trace.merge([a, b]))
-        multi_result, cluster = self._run([a, b])
-        assert (report_fields(merged_result)
-                == report_fields(multi_result))
-        assert cluster.trace.name == "a+b"
-
-    def test_high_water_bounded_by_one_shared_window(self):
-        a, b = self._sources()
-        window = 64
-        result, cluster = self._run([a, b], window=window)
-        merged_result, _ = self._run(Trace.merge([a, b]), window=window)
-        assert report_fields(result) == report_fields(merged_result)
-        # One shared window across both sources — not 2x window, and
-        # nowhere near the 1400 reserved (but unscheduled) sequences.
-        assert cluster.sim.calendar_high_water <= window + 64
-
-    def test_merged_source_summary_state(self):
-        from repro.sim.cluster import _MergedSource
-        a, b = self._sources()
-        m = _MergedSource([a, b])
-        assert len(m) == 1400
-        assert m.start == 0.0
-        assert m.duration == max(a.duration, 0.001 + b.duration)
-        assert m.connection_counts() == (
-            a.connection_counts() + b.connection_counts())
-        assert set(m.catalog) == set(a.catalog) | set(b.catalog)
-        with pytest.raises(ValueError, match="sources"):
-            _MergedSource([])
-
-
 class TestStartRelativeTimes:
     """Every reader sees arrivals relative to trace start.
 

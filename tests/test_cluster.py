@@ -89,6 +89,12 @@ class TestCompletion:
 
 
 class TestAccounting:
+    def test_servers_count_in_the_clusters_loads(self):
+        c = ClusterSimulator(simple_trace(), WRRPolicy(), params(n=3))
+        c.servers[1].handle("/x", 1024, lambda sid, hit: None)
+        assert c.loads == [0, 1, 0]
+        assert [s.active for s in c.servers] == c.loads
+
     def test_wrr_connection_costs(self):
         # 20 requests over 4 persistent connections.
         trace = simple_trace(n=20, n_conns=4)

@@ -16,13 +16,7 @@ import dataclasses
 import pytest
 
 from repro.core import SimulationParams, mine_models
-from repro.experiments import (
-    Cell,
-    bench_payload,
-    loaded_workload,
-    run_grid,
-    write_bench_json,
-)
+from repro.experiments import Cell, loaded_workload, run_grid
 from repro.experiments import runner as runner_mod
 from tests.scales import MICRO
 
@@ -136,33 +130,3 @@ class TestCellResolution:
             MICRO, jobs=0, params=params)
         assert results[0].result.n_backends == 3
 
-
-class TestBenchArtifact:
-    def test_payload_shape(self):
-        results = run_grid(GRID[:2], MICRO, jobs=0)
-        payload = bench_payload(results, label="unit")
-        assert payload["schema"] == "prord-bench-experiments/v2"
-        assert payload["label"] == "unit"
-        assert payload["total_wall_clock_s"] > 0
-        assert len(payload["cells"]) == 2
-        for cell, spec in zip(payload["cells"], GRID[:2]):
-            assert cell["workload"] == spec.workload
-            assert cell["policy"] == spec.policy
-            assert cell["wall_clock_s"] > 0
-            assert cell["throughput_rps"] > 0
-            assert 0 <= cell["hit_rate"] <= 1
-            assert cell["completed"] > 0
-            assert cell["p95_response_ms"] >= 0
-            assert cell["load_imbalance"] >= 1.0
-            # phase_timings is populated only for telemetered grids.
-            assert cell["phase_timings"] is None
-
-    def test_write_bench_json(self, tmp_path):
-        import json
-
-        results = run_grid(GRID[:1], MICRO, jobs=0)
-        path = write_bench_json(results, tmp_path / "sub" / "bench.json",
-                                label="unit")
-        data = json.loads(path.read_text())
-        assert data["schema"] == "prord-bench-experiments/v2"
-        assert len(data["cells"]) == 1

@@ -56,10 +56,30 @@ class TestDemandPath:
         sim, srv = make_server()
         srv.handle("/a", 1024, lambda sid, hit: None)
         srv.handle("/b", 1024, lambda sid, hit: None)
-        assert srv.load == 2
+        assert srv.active == 2
         sim.run()
-        assert srv.load == 0
+        assert srv.active == 0
         assert srv.is_idle
+
+    def test_active_is_a_read_only_view_of_the_shared_loads(self):
+        sim = Simulator()
+        params = SimulationParams(cache_bytes=1024 * 1024, n_backends=2)
+        loads = [0, 0]
+        srv = BackendServer(sim, 1, params, loads=loads)
+        srv.handle("/a", 1024, lambda sid, hit: None)
+        assert loads == [0, 1] and srv.active == 1
+        with pytest.raises(AttributeError):
+            srv.active = 0
+        sim.run()
+        assert loads == [0, 0]
+
+    def test_standalone_server_counts_privately(self):
+        sim = Simulator()
+        srv = BackendServer(sim, 3, SimulationParams(n_backends=4))
+        srv.handle("/a", 1024, lambda sid, hit: None)
+        assert srv.active == 1
+        sim.run()
+        assert srv.active == 0
 
     def test_demand_coalescing_single_disk_read(self):
         sim, srv = make_server()
