@@ -170,8 +170,7 @@ def cached_mine_models(
         models = cache.get(key)
     if models is not None:
         if profiler is not None:
-            for name, timing in lookup.items():
-                profiler.record(name, timing.wall_s)
+            profiler.record("modelcache.hit", lookup.total_wall_s())
         return models
     models = mine_models(workload, params,
                          predictor_kind=predictor_kind, profiler=profiler)
