@@ -404,8 +404,8 @@ def run_policy(
     When ``workload.trace`` is a lazy
     :class:`~repro.logs.replay.RequestSource` (from
     ``load_workload(..., stream=True)``) the whole replay streams —
-    arrivals are pulled through the simulator's bounded lookahead
-    window and the trace is never materialized; the resulting
+    arrivals are pulled one at a time into the simulator's event loop
+    and the trace is never materialized; the resulting
     :class:`SimulationReport` is field-for-field identical to the
     materialized run (the streamed-replay differential check proves
     it on every preset).

@@ -1,7 +1,7 @@
 """reprolint — AST-based contract checker for the repro codebase.
 
-The simulator's headline guarantees (bit-identical replay, pump==eager
-event order, serial==parallel grids, pure-observation hooks) are
+The simulator's headline guarantees (bit-identical replay, merged==eager
+arrival order, serial==parallel grids, pure-observation hooks) are
 enforced dynamically by the auditor and the differential battery; this
 package enforces them *statically*, at the offending line, before a
 violation turns into an hours-later flaky bit-identity failure.

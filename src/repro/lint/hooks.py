@@ -35,10 +35,9 @@ _ENGINE_ATTRS = frozenset({
 #: Methods that mutate engine/cluster/cache state when called on
 #: anything that is not a hook-local object.
 _MUTATORS = frozenset({
-    "schedule", "schedule_at", "schedule_at_reserved",
-    "reserve_sequences", "submit", "inject", "install", "put", "evict",
-    "promote", "close_connection", "run", "step", "add_server",
-    "remove_server",
+    "schedule", "schedule_at", "reserve_sequences", "submit", "inject",
+    "install", "put", "evict", "promote", "close_connection", "run",
+    "step", "add_server", "remove_server",
 })
 
 

@@ -14,6 +14,7 @@ Two levels of representation are used throughout:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -118,6 +119,31 @@ class Request:
         return not self.is_embedded
 
 
+def arrival_order_error(earlier: float, later: float) -> ValueError:
+    """The error for two consecutive arrivals failing ``later >= earlier``.
+
+    NaN fails every comparison, so a NaN on either side lands here and
+    is named as non-finite, not as out of order.
+    """
+    for t in (later, earlier):
+        if math.isnan(t):
+            return ValueError(f"trace arrival times must be finite: {t}")
+    return ValueError(
+        f"trace requests must be sorted by arrival time: {later} < {earlier}"
+    )
+
+
+def check_finite_span(start: float, last: float) -> None:
+    """Reject an infinite first or last arrival.
+
+    With every consecutive pair ordered (which no NaN passes), finite
+    endpoints make every arrival finite.
+    """
+    for t in (start, last):
+        if not math.isfinite(t):
+            raise ValueError(f"trace arrival times must be finite: {t}")
+
+
 class Trace:
     """A time-ordered sequence of :class:`Request` plus the file catalog.
 
@@ -129,11 +155,10 @@ class Trace:
     def __init__(self, requests: Sequence[Request], name: str = "trace") -> None:
         reqs = list(requests)
         for earlier, later in zip(reqs, reqs[1:]):
-            if later.arrival < earlier.arrival:
-                raise ValueError(
-                    "trace requests must be sorted by arrival time: "
-                    f"{later.arrival} < {earlier.arrival}"
-                )
+            if not later.arrival >= earlier.arrival:
+                raise arrival_order_error(earlier.arrival, later.arrival)
+        if reqs:
+            check_finite_span(reqs[0].arrival, reqs[-1].arrival)
         self._requests: list[Request] = reqs
         self.name = name
         catalog: dict[str, int] = {}

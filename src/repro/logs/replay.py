@@ -17,7 +17,7 @@ format that preserves exact sub-second arrivals and connection
 structure, which is why streamed replay requires it and real CLF logs
 without one fall back to the materialized heuristic path.
 
-The arrival pump (:class:`repro.sim.cluster.ClusterSimulator`) treats a
+The simulator (:class:`repro.sim.cluster.ClusterSimulator`) treats a
 ``Trace`` and a ``RequestSource`` identically; the differential battery
 and the hypothesis properties in ``tests/test_streamed_replay.py`` hold
 the two bit-identical.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .records import Request
+from .records import Request, arrival_order_error, check_finite_span
 from .sampling import ClientSampler
 
 __all__ = [
@@ -81,8 +81,8 @@ class TraceSummary:
     def scan(requests: Iterable[Request]) -> "TraceSummary":
         """Fold a time-ordered request stream into its summary.
 
-        Raises ``ValueError`` on out-of-order arrivals — the same
-        contract :class:`Trace` enforces on construction.
+        Raises ``ValueError`` on out-of-order or non-finite arrivals —
+        the same contract :class:`Trace` enforces on construction.
         """
         n = 0
         start = last = 0.0
@@ -90,11 +90,8 @@ class TraceSummary:
         catalog: dict[str, int] = {}
         conns: Counter = Counter()
         for r in requests:
-            if r.arrival < prev:
-                raise ValueError(
-                    "trace requests must be sorted by arrival time: "
-                    f"{r.arrival} < {prev}"
-                )
+            if not r.arrival >= prev:
+                raise arrival_order_error(prev, r.arrival)
             prev = r.arrival
             if n == 0:
                 start = r.arrival
@@ -104,6 +101,8 @@ class TraceSummary:
             if size is None or r.size > size:
                 catalog[r.path] = r.size
             conns[r.conn_id] += 1
+        if n:
+            check_finite_span(start, last)
         return TraceSummary(n=n, start=start, last=last,
                             catalog=catalog, connection_counts=conns)
 

@@ -208,7 +208,7 @@ def load_workload(
     becomes a re-iterable :class:`~repro.logs.clf.CLFSource` (mining runs
     one-pass via :func:`repro.mining.fold.mine_models_stream`) and the
     evaluation trace a :class:`~repro.logs.replay.SidecarRequestSource`
-    streamed straight into the simulator's arrival pump — a full replay
+    streamed straight into the simulator's event loop — a full replay
     never materializes the requests, and produces bit-identical results
     to the materialized path.  Streamed evaluation requires the sidecar
     (only it preserves exact arrivals and connection structure); when

@@ -215,6 +215,12 @@ class Telemetry:
         self.recorder = TimelineRecorder(
             window, max_windows=self._max_windows)
         self.recorder.attach(cluster)
+        # Per-completion service-demand terms, bound once per run.
+        params = cluster.params
+        self._cpu_s = params.backend_cpu_s
+        self._dynamic_demand_s = params.backend_cpu_s + params.dynamic_cpu_s
+        self._transmit_s = params.transmit_s
+        self._disk_service_s = params.disk_service_s
 
     # -- observation hooks (called by the cluster) -------------------------
 
@@ -226,13 +232,12 @@ class Telemetry:
         self._completions += 1
         self.recorder.note_completion(server_id)
         self.response_hist.add(cluster.sim.now - arrival)
-        params = cluster.params
         if req.dynamic:
-            demand = params.backend_cpu_s + params.dynamic_cpu_s
+            demand = self._dynamic_demand_s
         else:
-            demand = params.backend_cpu_s + params.transmit_s(req.size)
+            demand = self._cpu_s + self._transmit_s(req.size)
             if not hit:
-                demand += params.disk_service_s(req.size)
+                demand += self._disk_service_s(req.size)
         self.service_hist.add(demand)
 
     # -- finish ------------------------------------------------------------

@@ -206,6 +206,9 @@ class TimelineRecorder:
         self._windows: list[TimelineWindow] = []
         self._cursor: _Cursor | None = None
         self._window_start = 0.0
+        #: ``_window_start + window_s``, kept current so the per-event
+        #: hook compares against one attribute.
+        self._window_end = window_s
         self._window_completions = 0
         self._server_completions: list[int] = []
         self._finalized = False
@@ -235,7 +238,7 @@ class TimelineRecorder:
         self._server_completions[server_id] += 1
 
     def _on_event(self, time: float) -> None:
-        while time >= self._window_start + self.window_s:
+        while time >= self._window_end:
             self._close_window()
 
     # -- sampling ----------------------------------------------------------
@@ -303,6 +306,7 @@ class TimelineRecorder:
         self._server_completions = [0] * len(cluster.servers)
         if len(self._windows) >= self.max_windows:
             self._coalesce()
+        self._window_end = self._window_start + self.window_s
 
     def _coalesce(self) -> None:
         """Merge adjacent window pairs; double the width."""

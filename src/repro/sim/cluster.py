@@ -16,13 +16,15 @@ The trace is replayed open-loop at its recorded timestamps (the paper's
 simulator is trace-driven); compress a trace with ``Trace.scaled`` to
 raise offered load.
 
-Arrivals stream into the calendar through a bounded lookahead window
-(:class:`_ArrivalPump`) rather than being materialised up front, so the
-calendar's footprint is O(window + in-flight), not O(trace).  The pump
-pushes each arrival with a sequence number pre-reserved from the block
-an eager scheduler would have used, which makes the event order — and
-therefore every result — bit-identical to eager scheduling; the
-property tests replay random traces under both modes to prove it.
+Arrivals never enter the event calendar: :meth:`ClusterSimulator.run`
+hands the time-sorted trace to :meth:`Simulator.run
+<repro.sim.engine.Simulator.run>`, which merges it with the heap, so
+the calendar holds in-flight work only.  Each arrival keeps the
+sequence number an up-front schedule would have given it (a block
+reserved before the run starts), which makes the event order — and
+therefore every result — bit-identical to scheduling every arrival on
+the heap; the property tests replay random traces against such an
+eager schedule to prove it.
 
 Per-request state lives in a struct-of-arrays
 :class:`~repro.sim.soa.FlowTable` shared with the backends: the
@@ -30,19 +32,18 @@ calendar carries integer slot indices via the engine's ``arg`` channel
 and every stage callback is one long-lived bound method, so the demand
 hot path allocates nothing per request beyond the slot columns.
 
-The pump pulls from an iterator, so the trace may be a materialized
-:class:`~repro.logs.records.Trace` *or* a lazy re-iterable
-:class:`~repro.logs.replay.RequestSource` — with a source, a full
-replay holds O(window) requests instead of the whole trace, and the
-results are bit-identical (the streamed-replay differential check and
+The merge pulls one arrival at a time from an iterator, so the trace may
+be a materialized :class:`~repro.logs.records.Trace` *or* a lazy
+re-iterable :class:`~repro.logs.replay.RequestSource` — with a source,
+a full replay holds one pending request instead of the whole trace, and
+the results are bit-identical (the streamed-replay differential check and
 ``tests/test_streamed_replay.py`` prove it).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import (
     TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable,
 )
@@ -68,90 +69,11 @@ __all__ = [
     "Replicator",
     "SimulationResult",
     "ClusterSimulator",
-    "DEFAULT_ARRIVAL_WINDOW",
 ]
-
-#: Default lookahead window of the streaming arrival pump: how many
-#: trace arrivals are kept in the event calendar at once.  Large enough
-#: that pump bookkeeping is noise, small enough that calendar memory no
-#: longer scales with trace length.
-DEFAULT_ARRIVAL_WINDOW = 4096
-
-#: How many requests the pump pulls per refill.
-ARRIVAL_REFILL_CHUNK = 256
 
 #: Signature of a per-request completion callback:
 #: ``on_complete(server_id, hit)`` fires when the response finishes.
 CompletionCallback = Callable[[int, bool], None]
-
-
-class _ArrivalPump:
-    """Streams trace arrivals into the calendar, a chunk at a time.
-
-    Eager scheduling pushed all N arrivals (plus N closures) before the
-    first event fired.  The pump keeps at most ``window`` arrivals in
-    the calendar, refilling ``chunk`` at a time as arrivals fire.  Two
-    invariants make this bit-identical to eager mode:
-
-    * every arrival carries the sequence number it would have received
-      from an eager up-front schedule (a block reserved via
-      :meth:`Simulator.reserve_sequences`), so ``(time, seq)`` keys —
-      and hence fire order — are unchanged;
-    * a refill happens during an arrival's fire event, and traces are
-      time-sorted, so every pushed arrival is at/after the current
-      clock, at least one future arrival is always scheduled while any
-      remain, and the calendar cannot drain early.
-    """
-
-    __slots__ = ("cluster", "_it", "total", "base_seq", "next_index",
-                 "pending", "window", "chunk", "in_calendar", "_fire_cb")
-
-    def __init__(
-        self,
-        cluster: "ClusterSimulator",
-        trace: "Trace | RequestSource",
-        base_seq: int,
-        window: int,
-    ) -> None:
-        self.cluster = cluster
-        self._it = iter(trace)
-        self.total = len(trace)
-        self.base_seq = base_seq
-        self.next_index = 0
-        self.pending: deque[Request] = deque()
-        self.window = window = min(window, self.total)
-        self.chunk = max(1, min(ARRIVAL_REFILL_CHUNK, window))
-        self.in_calendar = 0
-        self._fire_cb = self._fire
-        self._refill(window)
-
-    def _refill(self, n: int) -> None:
-        cluster = self.cluster
-        i = self.next_index
-        n = min(n, self.total - i)
-        if n <= 0:
-            return
-        self.next_index = i + n
-        # Push start-relative times; the request itself is handed over
-        # as logged (no rebased copy).
-        t0 = cluster._t0
-        pending = self.pending
-        schedule = cluster.sim.schedule_at_reserved
-        fire = self._fire_cb
-        base = self.base_seq
-        for k, req in enumerate(islice(self._it, n), i):
-            pending.append(req)
-            schedule(req.arrival - t0, base + k, fire)
-        self.in_calendar += n
-
-    def _fire(self) -> None:
-        left = self.in_calendar - 1
-        self.in_calendar = left
-        if left <= self.window - self.chunk and self.next_index < self.total:
-            self._refill(self.chunk)
-        cluster = self.cluster
-        # The clock is exactly the pushed ``req.arrival - t0``.
-        cluster._on_arrival(self.pending.popleft(), cluster.sim.now)
 
 
 @runtime_checkable
@@ -225,12 +147,6 @@ class ClusterSimulator:
         Leading fraction of the trace excluded from the report's
         response/throughput/hit statistics (cold-cache compulsory misses
         are not what the paper's steady-state figures show).
-    arrival_window:
-        Lookahead window of the streaming arrival pump — how many trace
-        arrivals sit in the event calendar at once.  ``None`` uses
-        :data:`DEFAULT_ARRIVAL_WINDOW`; ``0`` schedules the whole trace
-        eagerly (the legacy mode, kept for the differential property
-        tests).  Results are bit-identical across all values.
     """
 
     def __init__(
@@ -248,17 +164,11 @@ class ClusterSimulator:
         future_weights: Mapping[str, float] | None = None,
         auditor: "SimulationAuditor | None" = None,
         telemetry: "Telemetry | None" = None,
-        arrival_window: int | None = None,
     ) -> None:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if window_s is not None and window_s <= 0:
             raise ValueError("window_s must be positive")
-        if arrival_window is None:
-            arrival_window = DEFAULT_ARRIVAL_WINDOW
-        elif arrival_window < 0:
-            raise ValueError("arrival_window must be >= 0")
-        self.arrival_window = arrival_window
         if trace is not None and len(trace) == 0:
             raise ValueError("trace is empty")
         if trace is None:
@@ -329,8 +239,8 @@ class ClusterSimulator:
         if trace is not None:
             # Full per-connection request counts, known before the first
             # event: a connection's close hook fires when its *last*
-            # request completes, which no bounded-lookahead stream could
-            # learn in time.  Trace and RequestSource both supply the
+            # request completes, which a stream pulled one arrival at a
+            # time could not learn in time.  Trace and RequestSource both supply the
             # counts from summary state, not a second request pass.
             self._remaining_per_conn.update(trace.connection_counts())
             self._t0 = trace.start
@@ -390,15 +300,18 @@ class ClusterSimulator:
             raise RuntimeError("a ClusterSimulator instance runs once")
         self._ran = True
         trace = self.trace
-        # Reserve the sequence block an eager schedule would have used,
-        # then stream arrivals through the bounded lookahead window
-        # (window 0 = eager: the pump simply preloads the whole trace).
-        base_seq = self.sim.reserve_sequences(len(trace))
-        window = self.arrival_window or len(trace)
-        self._arrival_pump = _ArrivalPump(self, trace, base_seq, window)
+        # Reserve the sequence block an up-front schedule of every
+        # arrival would have used: failure events scheduled in __init__
+        # fire before an arrival at the same time, replication ticks and
+        # everything later after it.  Arrivals fire at start-relative
+        # times; the request itself is handed over as logged (no rebased
+        # copy).
+        first_seq = self.sim.reserve_sequences(len(trace))
         if self.replicator is not None:
             self.replicator.start()
-        self.sim.run()
+        t0 = self._t0
+        self.sim.run(arrivals=((req.arrival - t0, req) for req in trace),
+                     fire=self._arrive, first_seq=first_seq)
         return self._result()
 
     # -- injection mode (closed-loop drivers) --------------------------------
@@ -436,11 +349,16 @@ class ClusterSimulator:
         """Assemble the result (injection mode, after the run drains)."""
         return self._result()
 
+    def _arrive(self, req: Request) -> None:
+        """Route one trace arrival; the clock is exactly its merged
+        start-relative time ``req.arrival - t0``."""
+        self._on_arrival(req, self.sim.now)
+
     def _on_arrival(
         self, req: Request, arrival: float,
         on_complete: CompletionCallback | None = None,
     ) -> None:
-        """Route one request (from the pump or :meth:`inject`).
+        """Route one request (a trace arrival or :meth:`inject`).
 
         ``arrival`` is the request's arrival time relative to trace
         start — the time every report, trace event and audit check

@@ -31,8 +31,8 @@ contracts the paper's PRORD-vs-LARD comparisons silently assume:
 * **streamed-replay equivalence** — ``run_policy`` over a workload
   loaded with ``stream=True`` (training log a lazy ``CLFSource``,
   evaluation trace a lazy
-  :class:`~repro.logs.replay.SidecarRequestSource` pulled through the
-  arrival pump) must produce a report field-for-field identical to the
+  :class:`~repro.logs.replay.SidecarRequestSource` merged into the
+  event loop) must produce a report field-for-field identical to the
   fully materialized run, on every preset.  Any divergence means
   constant-memory replays no longer measure the same system the
   figures do.

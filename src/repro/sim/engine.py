@@ -7,12 +7,18 @@ run bit-reproducible — a property the regression tests rely on.
 
 The hot loop is deliberately allocation-light: :meth:`Simulator.run`
 binds the heap, ``heappop`` and the observation hook to locals and pops
-each entry exactly once.  Every calendar push — scheduled events,
-reserved-sequence arrivals and :class:`Resource` completions — goes
-through the one :meth:`Simulator._push`.  Callers that stream bounded
-lookahead windows into the calendar (the cluster's arrival pump) can
-pre-reserve sequence-number blocks so late pushes keep the exact
-tie-break order an eager up-front schedule would have produced.
+each entry exactly once.  Every calendar push — scheduled events and
+:class:`Resource` completions — goes through the one
+:meth:`Simulator._push`.
+
+A time-sorted arrival stream (the cluster's trace replay) never enters
+the calendar: :meth:`Simulator.run` merges it with the heap, firing
+whichever of the next arrival and the heap head has the smaller
+``(time, seq)`` key.  Arrival *k* carries sequence number
+``first_seq + k`` from a block claimed up front with
+:meth:`Simulator.reserve_sequences`, so the merged order is exactly the
+order an up-front schedule of every arrival would have popped, while
+the heap holds in-flight work only.
 
 Calendar entries carry an optional ``arg`` delivered to the callback.
 This is the struct-of-arrays hook: instead of allocating a per-request
@@ -32,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 __all__ = ["Simulator", "Resource", "PRIORITY_DEMAND", "PRIORITY_PREFETCH"]
 
@@ -69,9 +75,11 @@ class Simulator:
 
         ``arg`` (optional) is delivered as ``fn(arg)``; ``None`` means
         call ``fn()`` — callbacks that genuinely want to receive ``None``
-        must close over it instead.
+        must close over it instead.  A NaN ``time`` is refused like a
+        past one: fired, it would leave the clock at NaN, where no later
+        time compares as past.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
@@ -84,7 +92,7 @@ class Simulator:
     ) -> None:
         """Push one calendar entry and track the high-water mark.
 
-        No past-time check: callers either check (``schedule_at*``) or
+        No past-time check: callers either check (``schedule_at``) or
         push ``now + service_time`` (:class:`Resource`).
         """
         heap = self._heap
@@ -96,22 +104,18 @@ class Simulator:
         self, delay: float, fn: Callable[..., None], arg: object = None
     ) -> None:
         """Run ``fn`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay: {delay}")
         self.schedule_at(self.now + delay, fn, arg)
-
-    # -- reserved sequence blocks (streaming schedulers) ---------------------
 
     def reserve_sequences(self, n: int) -> int:
         """Claim a block of ``n`` consecutive sequence numbers.
 
-        Returns the first number of the block.  A streaming scheduler
-        that knows its events' relative order up front (the arrival
-        pump) reserves the block once and pushes each event with its
-        pre-assigned number via :meth:`schedule_at_reserved`; events
-        scheduled later by anyone else draw numbers *after* the block,
-        so the global ``(time, seq)`` order is exactly what eagerly
-        scheduling the whole block up front would have produced.
+        Returns the first number of the block.  An arrival stream handed
+        to :meth:`run` numbers its arrivals from it; events scheduled
+        later by anyone else draw numbers *after* the block, so the
+        global ``(time, seq)`` order is exactly what scheduling every
+        arrival up front would have produced.
         """
         if n < 0:
             raise ValueError(f"cannot reserve {n} sequence numbers")
@@ -119,37 +123,42 @@ class Simulator:
         self._seq = start + n
         return start
 
-    def schedule_at_reserved(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., None],
-        arg: object = None,
-    ) -> None:
-        """Push an event carrying a pre-reserved sequence number."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self.now}"
-            )
-        self._push(time, seq, fn, arg)
-
     # -- the loop ------------------------------------------------------------
 
-    def run(self, until: float | None = None) -> None:
+    def run(
+        self,
+        until: float | None = None,
+        *,
+        arrivals: Iterable[tuple[float, Any]] | None = None,
+        fire: Callable[[Any], None] | None = None,
+        first_seq: int = 0,
+    ) -> None:
         """Process events until the calendar empties (or ``until``).
 
         ``until`` stops before the first event later than it and leaves
         the clock at ``until``; it may not lie before the current clock.
         The observation hook is bound on entry — install ``on_event``
         before calling.
+
+        ``arrivals`` is a time-sorted stream of ``(time, arg)`` pairs
+        merged with the calendar: the *k*-th pair fires as ``fire(arg)``
+        with key ``(time, first_seq + k)`` — reserve the block with
+        :meth:`reserve_sequences` — and counts as one processed event,
+        hook call included.  The stream is pulled one pair at a time, so
+        it may be lazy; a pair earlier than the clock raises
+        ``ValueError``.  A stream runs to its end: it cannot be combined
+        with ``until``.
         """
         if until is not None and until < self.now:
             raise ValueError(
                 f"cannot run the clock backwards: {until} < now {self.now}"
             )
+        if arrivals is not None and (until is not None or fire is None):
+            raise ValueError("an arrival stream needs fire and no until")
         heap = self._heap
         pop = heapq.heappop
         on_event = self.on_event
+        seq = first_seq
         if until is None and on_event is None:
             # Fast path: full drain, no observer.  Nothing can read
             # ``events_processed`` mid-drain (observers are the only
@@ -157,6 +166,30 @@ class Simulator:
             # is flushed once — even if a callback raises.
             n = 0
             try:
+                for at, aarg in arrivals or ():
+                    # The clock is the previous arrival's time here, so
+                    # this is the stream's sort check (NaN included).
+                    if not at >= self.now:
+                        raise ValueError(
+                            f"cannot schedule in the past: {at} < now "
+                            f"{self.now}"
+                        )
+                    # Heap entries first while their (time, seq) is
+                    # smaller; no entry carries a reserved number, so
+                    # the comparison never reaches the callbacks.
+                    key = (at, seq)
+                    seq += 1
+                    while heap and heap[0] < key:
+                        time, _, fn, arg = pop(heap)
+                        self.now = time
+                        n += 1
+                        if arg is None:
+                            fn()
+                        else:
+                            fn(arg)
+                    self.now = at
+                    n += 1
+                    fire(aarg)  # type: ignore[misc]
                 while heap:
                     time, _, fn, arg = pop(heap)
                     self.now = time
@@ -170,7 +203,28 @@ class Simulator:
             return
         # Observers may read ``events_processed`` from inside the hook
         # (the telemetry timeline does), so the counter is kept on the
-        # instance, not in a loop local.
+        # instance, not in a loop local.  A stream excludes ``until``,
+        # so ``on_event`` is set whenever the first loop runs.
+        for at, aarg in arrivals or ():
+            if not at >= self.now:
+                raise ValueError(
+                    f"cannot schedule in the past: {at} < now {self.now}"
+                )
+            key = (at, seq)
+            seq += 1
+            while heap and heap[0] < key:
+                time, _, fn, arg = pop(heap)
+                self.now = time
+                self._events_processed += 1
+                if arg is None:
+                    fn()
+                else:
+                    fn(arg)
+                on_event(time)  # type: ignore[misc]
+            self.now = at
+            self._events_processed += 1
+            fire(aarg)  # type: ignore[misc]
+            on_event(at)  # type: ignore[misc]
         limit = math.inf if until is None else until
         while heap and heap[0][0] <= limit:
             time, _, fn, arg = pop(heap)
@@ -211,9 +265,9 @@ class Simulator:
     @property
     def calendar_high_water(self) -> int:
         """Peak calendar size so far — the engine's memory-footprint
-        proxy.  With the streaming arrival pump this stays bounded by
-        the lookahead window plus in-flight work, not the trace length;
-        the core benchmark asserts exactly that."""
+        proxy.  A merged arrival stream never enters the calendar, so a
+        trace replay keeps it bounded by in-flight work, not the trace
+        length."""
         return self._high_water
 
 
@@ -272,7 +326,7 @@ class Resource:
         had to queue; a job started immediately (idle station) returns
         ``None`` — an in-service job can never be promoted anyway.
         """
-        if service_time < 0:
+        if not service_time >= 0:
             raise ValueError(f"negative service time: {service_time}")
         if self._busy:
             seq = self._seq

@@ -1,12 +1,14 @@
-"""Property tests: the streaming arrival pump ≡ eager scheduling.
+"""Property tests: the merged arrival stream ≡ eager scheduling.
 
-The pump keeps only a bounded lookahead window of trace arrivals in the
-event calendar; the tests here are the proof obligation that this is a
-pure perf change — for random traces and every policy in the
-differential battery, every lookahead window (including pathological
-``window=1``) must replay the exact same event sequence and produce a
-field-for-field identical :class:`SimulationResult` as the legacy eager
-schedule (``arrival_window=0``).
+:meth:`ClusterSimulator.run` never puts trace arrivals on the event
+calendar: the engine merges the time-sorted trace with the heap.  The
+tests here are the proof obligation that this is a pure perf change —
+for random traces (exact ties included) and every policy in the
+differential battery, the merged run must replay the exact same event
+sequence and produce a field-for-field identical
+:class:`SimulationResult` as an eager oracle that schedules every
+arrival on the heap up front through the public ``schedule_at`` and
+then drains.
 """
 
 import dataclasses
@@ -25,12 +27,9 @@ from repro.logs import Request, Trace
 from repro.obs.telemetry import Telemetry
 from repro.sim import ClusterSimulator
 from repro.sim.audit import AuditError, SimulationAuditor
-from repro.sim.cluster import DEFAULT_ARRIVAL_WINDOW
 from repro.sim.differential import DEFAULT_POLICIES, report_fields
 from repro.sim.tracing import RequestTracer
 from tests.scales import MICRO
-
-WINDOWS = (0, 1, 3, 17, None)  # 0 = eager; None = DEFAULT_ARRIVAL_WINDOW
 
 _MODELS = None
 
@@ -47,18 +46,37 @@ def _params():
     return SimulationParams(n_backends=3, cache_bytes=1 << 18)
 
 
-def _run(trace, policy_name, window):
+def _cluster(trace, policy_name):
     params = _params()
     mining = (_mining(params)
               if policy_name in MINING_POLICY_NAMES else None)
     policy, replicator = build_policy(policy_name, mining, params)
     tracer = RequestTracer()
-    cluster = ClusterSimulator(
-        trace, policy, params,
-        replicator=replicator, tracer=tracer, arrival_window=window,
-    )
-    result = cluster.run()
-    return result, cluster, tracer
+    cluster = ClusterSimulator(trace, policy, params,
+                               replicator=replicator, tracer=tracer)
+    return cluster, tracer
+
+
+def _run(trace, policy_name):
+    """The merged run: ``ClusterSimulator.run`` as shipped."""
+    cluster, tracer = _cluster(trace, policy_name)
+    return cluster.run(), cluster, tracer
+
+
+def _run_eager(trace, policy_name):
+    """Oracle: every arrival on the heap before the first event fires.
+
+    Arrivals are scheduled in trace order before the replicator starts,
+    so they draw the same sequence numbers the merged run reserves.
+    """
+    cluster, tracer = _cluster(trace, policy_name)
+    t0 = trace.start
+    for req in trace:
+        cluster.sim.schedule_at(req.arrival - t0, cluster._arrive, req)
+    if cluster.replicator is not None:
+        cluster.replicator.start()
+    cluster.sim.run()
+    return cluster.result(), cluster, tracer
 
 
 def _observable(result, cluster, tracer):
@@ -104,56 +122,54 @@ class TestPumpEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(spec=random_traces)
     def test_property_every_window_matches_eager(self, policy_name, spec):
+        # The merged loop holds a one-arrival lookahead; the oracle holds
+        # the whole trace.  Both engine loops are checked: the plain
+        # run takes the no-observer fast loop, the hooked one the
+        # on_event loop.
         trace = _build_trace(spec)
-        eager = _observable(*_run(trace, policy_name, 0))
+        eager = _observable(*_run_eager(trace, policy_name))
         assert eager["events"], "trace produced no events"
-        for window in WINDOWS[1:]:
-            streamed = _observable(*_run(trace, policy_name, window))
-            differing = [k for k in eager if eager[k] != streamed[k]]
-            assert not differing, (
-                f"window={window} diverges from eager on {differing}"
-            )
-
-    def test_default_window_is_the_constructor_default(self):
-        trace = _build_trace([(0.01, 0, 0)] * 5)
-        cluster = ClusterSimulator(trace, build_policy("wrr")[0], _params())
-        assert cluster.arrival_window == DEFAULT_ARRIVAL_WINDOW
-
-    def test_negative_window_rejected(self):
-        trace = _build_trace([(0.01, 0, 0)] * 5)
-        with pytest.raises(ValueError, match="arrival_window"):
-            ClusterSimulator(trace, build_policy("wrr")[0], _params(),
-                             arrival_window=-1)
+        assert eager["events_processed"] >= len(trace)
+        merged = _observable(*_run(trace, policy_name))
+        cluster, tracer = _cluster(trace, policy_name)
+        hooked = []
+        cluster.sim.on_event = hooked.append
+        observed = _observable(cluster.run(), cluster, tracer)
+        for name, run in (("merged", merged), ("observed", observed)):
+            differing = [k for k in eager if eager[k] != run[k]]
+            assert not differing, f"{name} diverges from eager on {differing}"
+        assert len(hooked) == observed["events_processed"]
+        assert hooked == sorted(hooked)
 
 
 class TestCalendarFootprint:
     def test_high_water_bounded_by_window_not_trace(self):
-        # A long, spread-out trace: eager scheduling's calendar peak
-        # scales with the trace; the pump's stays near the window.
-        n, window = 3000, 64
+        # A long, spread-out trace: the eager oracle's calendar peak
+        # scales with the trace; the merged run's holds in-flight work
+        # only — at most one completion per station (the front end plus
+        # a CPU and a disk per backend: 7 here) and the latency events
+        # of the few requests in flight at this light load.
+        n = 3000
         reqs = [Request(arrival=i * 0.002, conn_id=i % 8,
                         path=f"/p{i % 16}", size=1024)
                 for i in range(n)]
         trace = Trace(reqs, name="long")
 
-        eager = ClusterSimulator(trace, build_policy("lard")[0], _params(),
-                                 arrival_window=0)
-        eager.run()
+        _, eager, _ = _run_eager(trace, "lard")
         assert eager.sim.calendar_high_water >= n
 
-        pumped = ClusterSimulator(trace, build_policy("lard")[0], _params(),
-                                  arrival_window=window)
-        pumped.run()
-        # window arrivals + in-flight service/latency events; far below
-        # the trace length either way.
-        assert pumped.sim.calendar_high_water <= window + 64
-        assert pumped.sim.calendar_high_water < n // 10
+        _, merged, _ = _run(trace, "lard")
+        stations = len(merged.frontends) + 2 * len(merged.servers)
+        assert stations == 7
+        assert merged.sim.calendar_high_water <= 2 * stations
+        assert (merged.sim.events_processed
+                == eager.sim.events_processed)
 
 
 class TestStartRelativeTimes:
     """Every reader sees arrivals relative to trace start.
 
-    The pump hands the cluster the original request, whose ``arrival``
+    The merged loop hands the cluster the original request, whose ``arrival``
     is the absolute log timestamp (here about 1e9 s), and carries the
     start-relative arrival in the flow table.  A reader that used
     ``req.arrival`` would be off by the whole epoch.
@@ -174,7 +190,7 @@ class TestStartRelativeTimes:
         cluster = ClusterSimulator(
             self._trace(), build_policy("lard")[0], _params(),
             warmup_fraction=0.0, tracer=tracer, auditor=auditor,
-            telemetry=telemetry, arrival_window=16)
+            telemetry=telemetry)
         return cluster.run(), cluster, tracer, telemetry, auditor
 
     def test_tracer_response_is_start_relative(self):

@@ -140,9 +140,9 @@ class TestSimulator:
         assert counts == [1, 2, 3]
 
     def test_reserved_block_keeps_eager_tie_break_order(self):
-        # Same times, same relative order: events pushed lazily with
-        # reserved sequence numbers must interleave with later
-        # schedule_at() calls exactly as an eager up-front schedule.
+        # Same times, same relative order: an arrival stream numbered
+        # from a reserved block must interleave with later schedule_at()
+        # calls exactly as an eager up-front schedule.
         def eager():
             sim = Simulator()
             log = []
@@ -152,20 +152,18 @@ class TestSimulator:
             sim.run()
             return log
 
-        def reserved():
+        def merged():
             sim = Simulator()
             log = []
             base = sim.reserve_sequences(4)
-            # Push the block out of order and *after* the late event —
-            # the reserved numbers alone must restore eager order.
+            # Scheduled before the stream is even handed over — the
+            # reserved numbers alone must restore eager order.
             sim.schedule_at(1.0, lambda: log.append("late"))
-            for i in (2, 0, 3, 1):
-                sim.schedule_at_reserved(1.0, base + i,
-                                         lambda i=i: log.append(f"r{i}"))
-            sim.run()
+            sim.run(arrivals=((1.0, f"r{i}") for i in range(4)),
+                    fire=log.append, first_seq=base)
             return log
 
-        assert reserved() == eager() == ["r0", "r1", "r2", "r3", "late"]
+        assert merged() == eager() == ["r0", "r1", "r2", "r3", "late"]
 
     def test_reserve_sequences_validation(self):
         sim = Simulator()
@@ -176,7 +174,104 @@ class TestSimulator:
         sim.schedule_at(5.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError, match="past"):
-            sim.schedule_at_reserved(1.0, base, lambda: None)
+            sim.run(arrivals=[(1.0, "x")], fire=lambda arg: None,
+                    first_seq=base)
+
+    def test_arrival_ties_with_pre_run_and_post_run_events(self):
+        # An event scheduled before the block is reserved (a failure
+        # crash) fires before an arrival at the same time; one scheduled
+        # after (a replication tick, a completion) fires after it.
+        for observe in (False, True):
+            sim = Simulator()
+            log = []
+            sim.schedule_at(2.0, lambda: log.append("pre"))
+            base = sim.reserve_sequences(3)
+            sim.schedule_at(2.0, lambda: log.append("post"))
+            sim.schedule_at(1.0, lambda: sim.schedule_at(
+                2.0, lambda: log.append("nested")))
+            if observe:
+                sim.on_event = lambda t: None
+            sim.run(arrivals=[(1.0, "a0"), (2.0, "a1"), (2.0, "a2")],
+                    fire=log.append, first_seq=base)
+            assert log == ["a0", "pre", "a1", "a2", "post", "nested"], observe
+
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_out_of_order_arrivals_rejected(self, observe):
+        sim = Simulator()
+        fired = []
+        if observe:
+            sim.on_event = lambda t: None
+        with pytest.raises(ValueError, match="past: 1.0 < now 2.0"):
+            sim.run(arrivals=[(0.5, "a"), (2.0, "b"), (1.0, "c")],
+                    fire=fired.append, first_seq=sim.reserve_sequences(3))
+        assert fired == ["a", "b"]
+        assert sim.events_processed == 2
+
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_nan_arrival_rejected(self, observe):
+        sim = Simulator()
+        if observe:
+            sim.on_event = lambda t: None
+        with pytest.raises(ValueError, match="past: nan"):
+            sim.run(arrivals=[(1.0, "a"), (float("nan"), "b")],
+                    fire=lambda arg: None)
+        assert sim.now == 1.0
+
+    def test_on_event_fires_after_each_arrival(self):
+        sim = Simulator()
+        log = []
+        sim.on_event = lambda t: log.append(("seen", t,
+                                             sim.events_processed))
+        sim.schedule_at(1.5, lambda: log.append("event"))
+        sim.run(arrivals=[(1.0, "a"), (2.0, "b")],
+                fire=lambda arg: log.append(arg),
+                first_seq=sim.reserve_sequences(2))
+        assert log == [
+            "a", ("seen", 1.0, 1),
+            "event", ("seen", 1.5, 2),
+            "b", ("seen", 2.0, 3),
+        ]
+
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_events_processed_counts_arrivals(self, observe):
+        sim = Simulator()
+        seen = []
+        if observe:
+            sim.on_event = seen.append
+        for t in (0.5, 3.0):
+            sim.schedule_at(t, lambda: None)
+        sim.run(arrivals=((float(i), i) for i in range(4)),
+                fire=lambda arg: None)
+        assert sim.events_processed == 6
+        assert sim.now == 3.0
+        assert sim.pending_events == 0
+        if observe:
+            assert seen == [0.0, 0.5, 1.0, 2.0, 3.0, 3.0]
+
+    def test_arrival_stream_needs_fire_and_no_until(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="arrival stream"):
+            sim.run(arrivals=[(1.0, "a")])
+        with pytest.raises(ValueError, match="arrival stream"):
+            sim.run(until=5.0, arrivals=[(1.0, "a")],
+                    fire=lambda arg: None)
+        assert sim.events_processed == 0
+
+    def test_nan_times_rejected(self):
+        sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError, match="negative delay"):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError, match="negative service"):
+            Resource(sim).submit(nan, lambda: None)
+        assert sim.pending_events == 0
+        # The clock stays comparable: a past time is still refused.
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_at(-5.0, lambda: None)
 
     def test_calendar_high_water_tracks_peak(self):
         sim = Simulator()
@@ -187,13 +282,13 @@ class TestSimulator:
         sim.run()
         # Draining does not lower the recorded peak.
         assert sim.calendar_high_water == 5
-        base = sim.reserve_sequences(3)
-        for i in range(3):
-            sim.schedule_at_reserved(sim.now + 1.0, base + i, lambda: None)
-        assert sim.calendar_high_water == 5  # below the previous peak
+        # Merged arrivals never enter the calendar.
+        sim.run(arrivals=[(sim.now + 1.0 + i, None) for i in range(8)],
+                fire=lambda arg: None)
+        assert sim.calendar_high_water == 5
         for i in range(6):
             sim.schedule_at(sim.now + 2.0, lambda: None)
-        assert sim.calendar_high_water == 9
+        assert sim.calendar_high_water == 6
 
 
 class TestResource:

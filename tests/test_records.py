@@ -38,6 +38,15 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([req(2.0), req(1.0)])
 
+    @pytest.mark.parametrize("times", [
+        (float("nan"),), (1.0, float("nan")), (float("nan"), 1.0),
+        (0.0, float("nan"), 2.0), (1.0, float("inf")),
+        (float("-inf"), 1.0),
+    ])
+    def test_rejects_non_finite_arrivals(self, times):
+        with pytest.raises(ValueError, match="must be finite"):
+            Trace([req(t) for t in times])
+
     def test_catalog_takes_max_size(self):
         t = Trace([req(0.0, path="/a", size=10), req(1.0, path="/a", size=30)])
         assert t.catalog["/a"] == 30

@@ -3,9 +3,9 @@
 PR 5 proved streamed *mining* equals batch mining; these are the same
 proof obligations for the evaluation side.  A workload whose trace is a
 lazy :class:`SidecarRequestSource` must replay — through every policy,
-every arrival window, scaled or sampled — into a result field-for-field
-identical to the materialized :class:`Trace`, while the simulator never
-holds more than the lookahead window of requests.
+scaled or sampled — into a result field-for-field identical to the
+materialized :class:`Trace`, while the simulator holds one pending
+request of the stream at a time.
 """
 
 import tempfile
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.system import run_policy
 from repro.logs import Request, Trace
-from repro.logs.replay import SidecarRequestSource
+from repro.logs.replay import RequestSource, SidecarRequestSource
 from repro.logs.store import _save_trace_meta, load_workload, save_workload
 from repro.logs.workloads import synthetic_workload
 from repro.sim import ClusterSimulator
@@ -48,21 +48,17 @@ class TestStreamedEqualsMaterialized:
         self, policy_name, spec
     ):
         trace = _build_trace(spec)
-        materialized = _observable(*_run(trace, policy_name, None))
+        materialized = _observable(*_run(trace, policy_name))
         assert materialized["events"], "trace produced no events"
         with tempfile.TemporaryDirectory() as tmp:
             source = _sidecar_source(trace, Path(tmp))
-            # Default window (streamed) and the pathological window=1.
-            for window in (None, 1):
-                streamed = _observable(*_run(source, policy_name, window))
-                differing = [
-                    k for k in materialized
-                    if materialized[k] != streamed[k]
-                ]
-                assert not differing, (
-                    f"streamed window={window} diverges from "
-                    f"materialized on {differing}"
-                )
+            streamed = _observable(*_run(source, policy_name))
+            differing = [
+                k for k in materialized if materialized[k] != streamed[k]
+            ]
+            assert not differing, (
+                f"streamed diverges from materialized on {differing}"
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -79,8 +75,8 @@ class TestStreamedEqualsMaterialized:
             assert [r.arrival for r in source] == [
                 r.arrival for r in scaled_trace
             ]
-            a = _observable(*_run(scaled_trace, "lard", None))
-            b = _observable(*_run(source, "lard", None))
+            a = _observable(*_run(scaled_trace, "lard"))
+            b = _observable(*_run(source, "lard"))
             assert a == b
 
     @settings(max_examples=20, deadline=None)
@@ -175,6 +171,19 @@ class TestSidecarSourceValidation:
         with pytest.raises(ValueError, match="sorted by arrival"):
             SidecarRequestSource(p)
 
+    @pytest.mark.parametrize("rows", [
+        ("NaN",), ("1.0", "NaN"), ("NaN", "1.0"), ("1.0", "Infinity"),
+        ("-Infinity", "1.0"),
+    ])
+    def test_non_finite_arrival_rejected(self, tmp_path, rows):
+        header = ('{"format_version": 1, "kind": "prord-trace-meta", '
+                  '"name": "x", "n": %d}\n' % len(rows))
+        row = ('{"a": %s, "c": 0, "p": "/p", "s": 1, "e": false, '
+               '"d": false, "pa": null, "cl": "-"}\n')
+        p = self._write(tmp_path, header + "".join(row % a for a in rows))
+        with pytest.raises(ValueError, match="must be finite"):
+            SidecarRequestSource(p)
+
     def test_scaled_source_rejects_nonpositive_factor(self, tmp_path):
         source = _sidecar_source(_build_trace([(0.01, 0, 0)] * 3), tmp_path)
         with pytest.raises(ValueError, match="factor must be positive"):
@@ -183,20 +192,45 @@ class TestSidecarSourceValidation:
 
 class TestStreamedFootprint:
     def test_calendar_high_water_bounded_by_window(self, tmp_path):
-        # The whole point: with a lazy source and a bounded window, the
-        # calendar (and the pump) hold O(window), not O(trace).
-        n, window = 3000, 64
+        # The whole point: with a lazy source, the calendar holds
+        # in-flight work only (at most one completion per station plus
+        # the latency events of the few requests in flight) and the
+        # stream is pulled one request ahead of the arrival firing.
+        n = 3000
         trace = Trace(
             [Request(arrival=i * 0.002, conn_id=i % 8,
                      path=f"/p{i % 16}", size=1024)
              for i in range(n)],
             name="long",
         )
-        source = _sidecar_source(trace, tmp_path)
+        source = _CountingSource(_sidecar_source(trace, tmp_path))
         cluster = ClusterSimulator(
             source, build_policy("lard")[0], _params(),
-            arrival_window=window,
         )
+        route = cluster._arrive
+        leads = []
+
+        def arrive(req):
+            leads.append(source.pulled - len(leads))
+            route(req)
+
+        cluster._arrive = arrive
         cluster.run()
-        assert cluster.sim.calendar_high_water <= window + 64
-        assert cluster.sim.calendar_high_water < n // 10
+        assert len(leads) == n and set(leads) == {1}
+        stations = len(cluster.frontends) + 2 * len(cluster.servers)
+        assert cluster.sim.calendar_high_water <= 2 * stations
+
+
+class _CountingSource(RequestSource):
+    """A pass-through source that counts the requests pulled from it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = base.name
+        self.summary = base.summary
+        self.pulled = 0
+
+    def __iter__(self):
+        for req in self.base:
+            self.pulled += 1
+            yield req
